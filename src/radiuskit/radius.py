@@ -7,11 +7,14 @@ co-host every edge at some point.  Constructions here always re-verify their
 own output before returning it.
 """
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
+
+import numpy as np
 
 from . import binseq, debruijn
 from .errors import (BudgetError, InputError, InvalidParameterError,
@@ -73,29 +76,48 @@ class CoverCheck(NamedTuple):
     reads: int
 
 
-def _sorted_edge_list(edges):
-    return tuple(sorted(tuple(sorted(e)) for e in edges))
+def _uncovered_edges(graph, index, pairs):
+    """Sorted edges of graph that no (u, v) index-array pair in pairs covers.
+
+    A pair is coded min*V + max over V vertex indices, which fits int64 for
+    V < 3e9; a pair u == v codes no edge, since graphs have no self-loops.
+    """
+    size = len(index)
+
+    def code(u, v):
+        return np.minimum(u, v) * size + np.maximum(u, v)
+
+    # the -1 sentinel lies below every code, so each edge code finds the
+    # largest covered code not above it
+    covered = np.sort(np.concatenate(
+        [np.full(1, -1, dtype=np.int64)] + [code(u, v) for u, v in pairs]))
+    ends = np.fromiter((index[w] for e in graph.edges for w in e),
+                       dtype=np.int64, count=2 * graph.num_edges)
+    edge_codes = code(ends[0::2], ends[1::2])
+    found = covered[np.searchsorted(covered, edge_codes, side="right") - 1]
+    missing = np.flatnonzero(found != edge_codes)
+    return tuple(sorted(tuple(sorted(graph.edges[i]))
+                        for i in missing.tolist()))
+
+
+def _vertex_index(graph):
+    return {v: i for i, v in enumerate(graph.vertices)}
 
 
 def verify_radius(seq, k):
     """Check that every edge's endpoints appear within distance k."""
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
-    items = seq.items
-    s = len(items)
-    covered = set()
-    span = min(k, s - 1) if s else 0
-    for i in range(s):
-        for d in range(1, span + 1):
-            j = i + d
-            if j >= s:
-                if seq.mode == LINEAR:
-                    break
-                j %= s
-            if items[i] != items[j]:
-                covered.add(frozenset((items[i], items[j])))
-    uncovered = [e for e in seq.graph.edge_set() if e not in covered]
-    return RadiusCheck(not uncovered, _sorted_edge_list(uncovered))
+    index = _vertex_index(seq.graph)
+    s = len(seq.items)
+    at = np.fromiter((index[x] for x in seq.items), dtype=np.int64, count=s)
+    span = min(k, s - 1)
+    if seq.mode == LINEAR:
+        pairs = [(at[:s - d], at[d:]) for d in range(1, span + 1)]
+    else:
+        pairs = [(at, np.roll(at, -d)) for d in range(1, span + 1)]
+    uncovered = _uncovered_edges(seq.graph, index, pairs)
+    return RadiusCheck(not uncovered, uncovered)
 
 
 def check_cover_structure(cov):
@@ -118,12 +140,16 @@ def verify_cover(cov):
     reads = length + k: the first set costs k+1 reads, each later set one.
     """
     check_cover_structure(cov)
-    uncovered = []
-    for e in cov.graph.edge_set():
-        if not any(e <= s for s in cov.sets):
-            uncovered.append(e)
+    index = _vertex_index(cov.graph)
+    width = cov.k + 1
+    members = np.fromiter((index[x] for s in cov.sets for x in s),
+                          dtype=np.int64, count=len(cov.sets) * width)
+    members = members.reshape(len(cov.sets), width)
+    pairs = [(members[:, a], members[:, b])
+             for a, b in itertools.combinations(range(width), 2)]
+    uncovered = _uncovered_edges(cov.graph, index, pairs)
     reads = len(cov.sets) + cov.k
-    return CoverCheck(not uncovered, _sorted_edge_list(uncovered), reads)
+    return CoverCheck(not uncovered, uncovered, reads)
 
 
 @dataclass(frozen=True)
@@ -303,13 +329,11 @@ def construct_bipartite(m, n, k, epsilon_hint=0.5, seed=0,
         return BipartiteConstruction(seq, 0, Fraction(0), 0.0, None, 0)
 
     g = complete_bipartite(m, n)
-    xs = [f"x{i}" for i in range(1, m + 1)]
-    ys = [f"y{j}" for j in range(1, n + 1)]
-    a = debruijn.ak(k, max_vertices=max_vertices)
-    lower = Fraction(m * n) / (k - a)
-
     opt = debruijn.min_normalized_cycle(debruijn.build_debruijn(k),
                                         max_vertices)
+    a = opt.normalized
+    lower = Fraction(m * n) / (k - a)
+
     eps = float(epsilon_hint) if epsilon_hint and epsilon_hint > 0 else 0.5
     q = math.ceil((1 + eps) / eps * (k * (k + 1)) /
                   (opt.length * float(k - a)))
@@ -325,74 +349,71 @@ def construct_bipartite(m, n, k, epsilon_hint=0.5, seed=0,
             block = _make_pattern_block(k, q, opt.symbols,
                                         rng.randrange(opt.length))
 
-    covered = [[False] * n for _ in range(m)]
+    # Vertices are indices: x_i -> i-1 and y_j -> m+j-1, the order of
+    # g.vertices.  covered[i, j] marks the pair x_{i+1} y_{j+1}; covered_t is
+    # its transpose, so scoring either side sums whole contiguous rows.
+    covered = np.zeros((m, n), dtype=bool)
+    covered_t = np.zeros((n, m), dtype=bool)
     remaining = m * n
     items = []
 
     def append(v):
         """Append a vertex, marking pairs formed within the last k slots."""
         nonlocal remaining
-        items.append(v)
-        pos = len(items) - 1
-        for back in range(1, min(k, pos) + 1):
-            w = items[pos - back]
-            if v[0] == w[0]:
+        for w in items[-k:]:
+            if (v < m) == (w < m):
                 continue
-            x, y = (v, w) if v[0] == "x" else (w, v)
-            i, j = int(x[1:]) - 1, int(y[1:]) - 1
-            if not covered[i][j]:
-                covered[i][j] = True
+            i, j = (v, w - m) if v < m else (w, v - m)
+            if not covered[i, j]:
+                covered[i, j] = covered_t[j, i] = True
                 remaining -= 1
+        items.append(v)
 
     blocks_used = 0
     if block is not None:
         pattern = [int(ch) for ch in block.pattern]
         while remaining > 0:
             before = remaining
-            used_x, used_y = set(), set()
+            used_x, used_y = np.zeros(m, dtype=bool), np.zeros(n, dtype=bool)
             for sym in pattern:
-                pool, used = (xs, used_x) if sym == 0 else (ys, used_y)
-                window = items[-k:] if k else []
-                best_v, best_gain = None, -1
-                for v in pool:
-                    if v in used:
-                        continue
-                    gain = 0
-                    seen = set()
-                    for w in window:
-                        if w[0] == v[0] or w in seen:
-                            continue
-                        seen.add(w)
-                        x, y = (v, w) if v[0] == "x" else (w, v)
-                        if not covered[int(x[1:]) - 1][int(y[1:]) - 1]:
-                            gain += 1
-                    if gain > best_gain:
-                        best_v, best_gain = v, gain
-                if best_v is None:
+                window = items[-k:]
+                # score of each candidate: uncovered pairs with the distinct
+                # opposite-side vertices of the window; used ones score -1,
+                # so argmax picks the lowest unused index among the best
+                if sym == 0:
+                    others = list({w - m for w in window if w >= m})
+                    rows, used, offset = covered_t, used_x, 0
+                else:
+                    others = list({w for w in window if w < m})
+                    rows, used, offset = covered, used_y, m
+                score = len(others) - rows[others].sum(axis=0)
+                score[used] = -1
+                best = int(score.argmax())
+                if score[best] < 0:
                     break
-                used.add(best_v)
-                append(best_v)
+                used[best] = True
+                append(best + offset)
             gain = before - remaining
             blocks_used += 1
             # stop once a block stops beating the sweep's 1 pair per 2 slots
             if gain * 2 < len(pattern):
                 break
 
-    for i in range(m):
-        for j in range(n):
-            if covered[i][j]:
-                continue
-            x, y = xs[i], ys[j]
-            window = items[-k:]
-            if x in window:
-                append(y)
-            elif y in window:
-                append(x)
-            else:
-                append(x)
-                append(y)
+    open_x, open_y = np.nonzero(~covered)
+    for i, j in zip(open_x.tolist(), open_y.tolist()):
+        if covered[i, j]:
+            continue
+        x, y = i, m + j
+        window = items[-k:]
+        if x in window:
+            append(y)
+        elif y in window:
+            append(x)
+        else:
+            append(x)
+            append(y)
 
-    seq = VertexSequence(g, tuple(items), mode=LINEAR)
+    seq = VertexSequence(g, tuple(g.vertices[v] for v in items), mode=LINEAR)
     check = verify_radius(seq, k)
     assert check.valid, f"bipartite construction missed {check.uncovered}"
     ratio = len(items) / float(lower) if lower else 0.0

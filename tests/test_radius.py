@@ -1,6 +1,8 @@
 """Tests for verifiers, bounds, and the constructive sequence builders."""
 
+import hashlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,6 +32,40 @@ def test_verify_radius_examples():
     assert verify_radius(cyc, 1).valid
 
 
+def _uncovered_oracle(graph, together):
+    """Sorted edges whose endpoints no pair of `together` holds."""
+    return tuple(sorted(tuple(sorted(e)) for e in graph.edge_set()
+                        if not any(e <= frozenset(p) for p in together)))
+
+
+def _radius_oracle(seq, k):
+    s = len(seq.items)
+    pairs = []
+    for i, j in itertools.combinations(range(s), 2):
+        gap = j - i if seq.mode == "linear" else min(j - i, s - (j - i))
+        if gap <= k:
+            pairs.append((seq.items[i], seq.items[j]))
+    return _uncovered_oracle(seq.graph, pairs)
+
+
+def test_verify_radius_matches_pair_oracle():
+    g = circulant(9, 2).graph
+    seq = VertexSequence(g, "3 0 5 0 8 2 7 1".split())
+    check = verify_radius(seq, 2)
+    assert not check.valid and len(check.uncovered) >= 5
+    assert check.uncovered == _radius_oracle(seq, 2)
+    rng = random.Random(11)
+    pool = [complete(5), cycle(7), path(4), complete_bipartite(3, 4), g,
+            Graph(("a", "b", "c"), [("a", "b")])]
+    for _ in range(150):
+        graph = rng.choice(pool)
+        items = rng.choices(graph.vertices, k=rng.randrange(12))
+        seq = VertexSequence(graph, items, mode=rng.choice(("linear", "cyclic")))
+        k = rng.randrange(1, 6)
+        oracle = _radius_oracle(seq, k)
+        assert verify_radius(seq, k) == (not oracle, oracle)
+
+
 def test_verify_radius_unknown_vertex():
     with pytest.raises(InputError):
         VertexSequence(complete(3), ("v1", "zz"))
@@ -49,6 +85,23 @@ def test_verify_cover_examples():
     with pytest.raises(StructureError) as err:
         verify_cover(CoverSequence(complete(4), 2, ({"v1", "v2"},)))
     assert err.value.index == 1
+
+
+def test_verify_cover_matches_pair_oracle():
+    g = complete(7)
+    cov = CoverSequence(g, 2, ({"v1", "v2", "v3"}, {"v2", "v3", "v4"},
+                               {"v3", "v4", "v7"}, {"v4", "v7", "v6"}))
+    check = verify_cover(cov)
+    assert not check.valid and len(check.uncovered) == 21 - 9
+    assert check.uncovered == _uncovered_oracle(g, cov.sets)
+    assert check.reads == 6
+    g = circulant(10, 3).graph
+    sets = [{"0", "1", "2", "3"}]
+    for new, old in [("4", "0"), ("5", "1"), ("9", "2"), ("8", "3")]:
+        sets.append(sets[-1] - {old} | {new})
+    check = verify_cover(CoverSequence(g, 3, sets))
+    assert check.uncovered == _uncovered_oracle(g, sets)
+    assert len(check.uncovered) >= 5
 
 
 def test_bounds_examples():
@@ -136,6 +189,46 @@ def test_construct_bipartite_examples():
     assert verify_radius(result.sequence, 2).valid
     assert result.lower_bound == Fraction(64) / Fraction(3, 2)
     assert result.ratio == result.length / float(result.lower_bound)
+
+
+# (m, n, k, epsilon, seed, blocks_used, sha256 of " ".join(items)), recorded
+# from the label-keyed greedy the index-based one replaced: byte-identical.
+CONSTRUCT_PINS = [
+    (1, 5, 2, 0.5, 0, 0,
+     "7c4a24537147eb868d6a3a79005924ec783be5a6ae2cf5f06cb14fb3a52d81b7"),
+    (5, 1, 3, 0.5, 0, 0,
+     "bfe27533248b36171f7cfd87ce7772da02c824706fb50062658e5f613933b7f1"),
+    (7, 3, 2, 0.5, 0, 0,
+     "8283ed2a149f5cf1cba7d105ed11c71f0512f4ee8e5534281947b9162e2c5505"),
+    (3, 7, 2, 0.5, 0, 0,
+     "a13e7d2cabfd2a65e747371c0c10a903f15458a40e55db805357f6ad3ce277c0"),
+    (30, 30, 1, 0.5, 0, 94,
+     "66e955ea4e01ce400cf7c38cf1078d7673dc175ab4f8928147d9dff36fe78a85"),
+    (40, 9, 4, 0.1, 1, 11,
+     "61eb950b612028bc71e4f5d0120090786dd72d9594498b1da460d16b2e2aa12d"),
+    (9, 40, 4, 1.0, 2, 11,
+     "50884a40c7376985651f6e0227eb6dfce6d96a21af68e0ea31bea8ccd9c7c71e"),
+    (20, 25, 3, 0.1, 3, 8,
+     "52918ef6356ac1768887e47ace6c904bca172ccfe4021c4803ca9a45121557ed"),
+    (25, 20, 5, 1.0, 4, 9,
+     "fa9352ef139804d753dc0b74c6e61bfe6a9ee56e7aa17250ea8d62ac48a07a67"),
+    (30, 24, 6, 0.5, 5, 8,
+     "dc31c7e8d0a382527f01c3d6379ce282cf21bde40242ceed0c1e7531cda6be2d"),
+    (24, 30, 6, 0.1, 0, 8,
+     "c130ee0409e3b929ce648d8051621ce4bc56dbc61dea1dccc5361acb46aad1c9"),
+    (12, 12, 2, 1.0, 1, 10,
+     "79e25149be900b632bb290a07ae8d8b6ad6bca2d778f4b54dfb5ba305bb0766d"),
+    (100, 90, 4, 0.5, 7, 149,
+     "66f07a07b02d566cf38f9f3ab180195d9022f23e99a155d769f245ac607b35a0"),
+]
+
+
+def test_construct_bipartite_pinned_outputs():
+    for m, n, k, eps, seed, blocks_used, digest in CONSTRUCT_PINS:
+        result = construct_bipartite(m, n, k, epsilon_hint=eps, seed=seed)
+        text = " ".join(result.sequence.items)
+        assert (result.blocks_used, hashlib.sha256(text.encode()).hexdigest()
+                ) == (blocks_used, digest), (m, n, k, eps, seed)
 
 
 def test_construct_bipartite_degenerate_and_seeded():
