@@ -9,7 +9,6 @@ through the file-format parsers.
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -52,29 +51,9 @@ def _load_graph(path):
     return graphs.parse_graph(_read(path))
 
 
-def _budget_from_args(args):
-    kwargs = {}
-    if getattr(args, "time_limit", None):
-        kwargs["time_limit"] = args.time_limit
-    return exact.SearchBudget(**kwargs)
-
-
 def _add_common(parser):
     parser.add_argument("--format", choices=["human", "json-lines"],
                         default="human", help="output format")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap worker count (mirrors RADIUSKIT_THREADS; "
-                             "the current implementation is single-process)")
-
-
-def _resolve_threads(args):
-    value = args.threads
-    if value is None:
-        env = os.environ.get("RADIUSKIT_THREADS")
-        value = int(env) if env else 1
-    if value < 1:
-        raise InvalidParameterError("--threads must be >= 1")
-    return value
 
 
 def _cmd_ak(args, out):
@@ -216,7 +195,9 @@ def _cmd_exact(args, out):
         out.emit({"op": "exact-maxcut", "value": value},
                  [f"max cut = {value}"])
         return 0
-    budget = _budget_from_args(args)
+    budget = None
+    if args.time_limit is not None:
+        budget = exact.SearchBudget(time_limit=args.time_limit)
     if args.kind == "fk":
         mode = radius.CYCLIC if args.cyclic else radius.LINEAR
         result = exact.exact_fk(g, args.k, mode=mode, budget=budget)
@@ -280,7 +261,7 @@ def _cmd_reduce(args, out):
     if args.witness:
         text = _read(args.witness)
         if args.kind == "ham-radius":
-            path_vertices = text.split()
+            path_vertices = radius.parse_vertex_sequence(text, g).items
             seq = hardness.hampath_witness_to_sequence(inst, path_vertices)
             record["witness_length"] = len(seq)
             record["witness"] = " ".join(seq.items)
@@ -288,14 +269,7 @@ def _cmd_reduce(args, out):
                          f"{inst.threshold})")
             lines.append(" ".join(seq.items))
         else:
-            edge_list = []
-            for raw in text.splitlines():
-                line = raw.split("#", 1)[0].strip()
-                if line:
-                    tokens = line.split()
-                    if len(tokens) != 2:
-                        raise ParseError(f"expected 'u v', got {line!r}")
-                    edge_list.append(tuple(tokens))
+            edge_list = graphs.parse_graph(text).edges
             cov = hardness.cover1_witness_to_coverk(inst, edge_list)
             record["witness_length"] = len(cov)
             record["losses"] = hardness.loss_count(cov)
@@ -443,7 +417,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     out = _Output(args.format)
     try:
-        _resolve_threads(args)
         return args.func(args, out)
     except BudgetError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)

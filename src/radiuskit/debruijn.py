@@ -20,9 +20,6 @@ import numpy as np
 
 from .errors import BudgetError, InvalidParameterError
 
-# Exact reduced fractions; arbitrary-precision ints make overflow impossible.
-RationalWeight = Fraction
-
 # Default cap on the vertex count of the exact minimum-cycle DP (the DP is
 # O(V*E) = O(t^(2k+1)); 2^14 vertices keeps it around 2^29 elementary steps).
 DEFAULT_MAX_VERTICES = 1 << 14
@@ -77,10 +74,6 @@ class DeBruijnGraph:
     @property
     def num_edges(self):
         return self.alphabet ** (self.k + 1)
-
-    def out_degree(self, vertex_code):
-        del vertex_code
-        return self.alphabet
 
     def vertex_word(self, code):
         return _render_symbols(self.vertex_symbols(code), self.alphabet)
@@ -294,9 +287,7 @@ def _extract_tight_cycle(k, t, cnt, idx, mu):
     dist = np.full(size, _INF, dtype=np.int64)
     dist[0] = 0
     for _ in range(size + 1):
-        new = dist.copy()
-        for b in range(t):
-            np.minimum(new, dist[idx[b]] + wadj[b], out=new)
+        new = np.minimum(dist, _dp_step(dist, idx, wadj))
         if np.array_equal(new, dist):
             break
         dist = new

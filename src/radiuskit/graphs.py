@@ -178,17 +178,20 @@ def circulant(n, k):
     return CirculantGraph(Graph(vs, edges), 2 * k >= n)
 
 
+def edge_label(u, v):
+    """Line-graph vertex label of edge uv: the sorted endpoints joined by '|'."""
+    a, b = sorted((u, v))
+    return f"{a}|{b}"
+
+
 def line_graph(g):
     """Graph on g's edges, adjacent when the edges share an endpoint.
 
-    Vertex labels are the sorted endpoint pair joined by '|'.
+    Vertex labels are `edge_label` of each edge.
     """
     if g.num_edges < 1:
         raise InvalidParameterError("line graph needs at least one edge")
-    label = {}
-    for u, v in g.edges:
-        a, b = sorted((u, v))
-        label[frozenset((u, v))] = f"{a}|{b}"
+    label = {frozenset(e): edge_label(*e) for e in g.edges}
     vs = [label[frozenset(e)] for e in g.edges]
     edges = []
     seen = set()
@@ -264,34 +267,27 @@ def serialize_graph(g):
 def hamiltonian_path(g):
     """Some Hamiltonian path as a vertex list, or None.
 
-    Plain backtracking in label order; meant for the tiny instances the
-    exact solvers and reduction tests deal with.
+    Plain backtracking in label order, with an explicit stack of neighbor
+    iterators so long paths do not hit the recursion limit; meant for the
+    tiny instances the exact solvers and reduction tests deal with.
     """
     n = g.num_vertices
-    if n == 0:
-        return None
-    if n == 1:
-        return [g.vertices[0]]
-    order = sorted(g.vertices)
-
-    def extend(pathlist, used):
-        if len(pathlist) == n:
-            return pathlist
-        for w in g.neighbors(pathlist[-1]):
-            if w not in used:
-                used.add(w)
-                pathlist.append(w)
-                found = extend(pathlist, used)
-                if found:
-                    return found
-                pathlist.pop()
-                used.remove(w)
-        return None
-
-    for start in order:
-        found = extend([start], {start})
-        if found:
-            return found
+    for start in sorted(g.vertices):
+        pathlist = [start]
+        used = {start}
+        stack = [iter(g.neighbors(start))]
+        while stack:
+            if len(pathlist) == n:
+                return pathlist
+            for w in stack[-1]:
+                if w not in used:
+                    used.add(w)
+                    pathlist.append(w)
+                    stack.append(iter(g.neighbors(w)))
+                    break
+            else:
+                stack.pop()
+                used.remove(pathlist.pop())
     return None
 
 

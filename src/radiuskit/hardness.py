@@ -12,15 +12,10 @@ import math
 from dataclasses import dataclass
 
 from .errors import InputError, InvalidParameterError, WitnessError
-from .graphs import (Graph, attach_pendants, hamiltonian_path, line_graph,
-                     pendant_label)
+from .graphs import (Graph, attach_pendants, edge_label, hamiltonian_path,
+                     line_graph, pendant_label)
 from .radius import (CoverSequence, VertexSequence, check_cover_structure,
                      verify_cover, verify_radius)
-
-
-def _edge_label(u, v):
-    a, b = sorted((u, v))
-    return f"{a}|{b}"
 
 
 @dataclass(frozen=True)
@@ -101,14 +96,14 @@ def hampath_witness_to_sequence(inst, path_vertices):
     def spare_edges(v):
         out = [frozenset((v, w)) for w in f.neighbors(v)]
         return sorted((e for e in out if e not in on_path),
-                      key=lambda e: _edge_label(*e))
+                      key=lambda e: edge_label(*e))
 
     first_spares = spare_edges(path_vertices[0])
     last_spares = spare_edges(path_vertices[-1])
     e0, f1 = first_spares[0], first_spares[1]
     fn, en = last_spares[0], last_spares[1]
 
-    items = [_edge_label(*e0)]
+    items = [edge_label(*e0)]
     for i, v in enumerate(path_vertices):
         if i == 0:
             non_path = f1
@@ -116,13 +111,13 @@ def hampath_witness_to_sequence(inst, path_vertices):
             non_path = fn
         else:
             non_path = spare_edges(v)[0]
-        items.append(_edge_label(*non_path))
-        items.extend(_edge_label(v, pendant_label(v, j))
+        items.append(edge_label(*non_path))
+        items.extend(edge_label(v, pendant_label(v, j))
                      for j in range(1, k - 1))
         if i < n - 1:
-            items.append(_edge_label(*path_edges[i]))
+            items.append(edge_label(*path_edges[i]))
         else:
-            items.append(_edge_label(*en))
+            items.append(edge_label(*en))
     assert len(items) == inst.threshold
     seq = VertexSequence(inst.target, tuple(items))
     check = verify_radius(seq, k)
@@ -174,11 +169,12 @@ def reduce_cover1_to_coverk(h, k):
 
 def _check_one_cover(h, edge_list):
     """A 1-cover of length m: every edge exactly once, neighbors adjacent."""
-    edges = [frozenset((str(u), str(v))) for u, v in edge_list]
-    for e in edges:
-        u, v = tuple(e)
+    edges = []
+    for u, v in edge_list:
+        u, v = str(u), str(v)
         if not h.has_edge(u, v):
             raise WitnessError(f"{u!r} {v!r} is not an edge of the source")
+        edges.append(frozenset((u, v)))
     if len(set(edges)) != len(edges) or len(edges) != h.num_edges:
         raise WitnessError("1-cover must list every source edge exactly once")
     for i in range(len(edges) - 1):

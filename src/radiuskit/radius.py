@@ -17,12 +17,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import binseq, debruijn
+from .binseq import CYCLIC, LINEAR
 from .errors import (BudgetError, InputError, InvalidParameterError,
                      ParseError, StructureError)
 from .graphs import Graph, complete, complete_bipartite
-
-LINEAR = "linear"
-CYCLIC = "cyclic"
 
 
 @dataclass(frozen=True)
@@ -168,7 +166,7 @@ class BoundsReport:
     fk_lower: int
 
 
-def bounds(g, k, bipartition=None, detect_bipartition=True,
+def bounds(g, k, bipartition=None,
            max_vertices=debruijn.DEFAULT_MAX_VERTICES):
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
@@ -176,9 +174,7 @@ def bounds(g, k, bipartition=None, detect_bipartition=True,
     edge_bound = None
     if g.non_isolated_count() > k + 1:
         edge_bound = Fraction(e, k) + Fraction(k + 1, 2)
-    sides = bipartition
-    if sides is None and detect_bipartition:
-        sides = g.bipartition()
+    sides = bipartition if bipartition is not None else g.bipartition()
     bipartite_bound = None
     if sides is not None and e > 0:
         for u, v in g.edges:

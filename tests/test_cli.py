@@ -62,7 +62,7 @@ def test_verify_cover(capsys, tmp_path, k4_file):
     assert code == 0 and "reads 5" in out
 
 
-def test_usage_errors(capsys, tmp_path):
+def test_usage_errors(capsys, tmp_path, k4_file):
     bad = tmp_path / "bad.edges"
     bad.write_text("a a\n")
     code, _, err = run(capsys, ["bounds", "--k", "1", "--graph", str(bad)])
@@ -72,6 +72,11 @@ def test_usage_errors(capsys, tmp_path):
     code, _, err = run(capsys, ["bounds", "--k", "1",
                                 "--graph", str(tmp_path / "missing.edges")])
     assert code == 2
+    for limit in ("0", "-1"):
+        code, out, err = run(capsys, ["exact", "fk", "--k", "2",
+                                      "--graph", k4_file,
+                                      "--time-limit", limit])
+        assert code == 2 and out == "" and "positive" in err
 
 
 def test_budget_exit(capsys):
@@ -147,14 +152,15 @@ def test_reduce_with_witness(capsys, tmp_path):
     witness = tmp_path / "path.txt"
     witness.write_text("x1 y1 x2 y2 x3 y3\n")
     target_out = tmp_path / "target.edges"
-    code, out, _ = run(capsys, ["reduce", "ham-radius", "--k", "2",
-                                "--graph", str(graph_file),
-                                "--witness", str(witness),
-                                "--target-out", str(target_out)])
+    argv = ["reduce", "ham-radius", "--k", "2", "--graph", str(graph_file),
+            "--witness", str(witness), "--target-out", str(target_out)]
+    code, out, _ = run(capsys, argv)
     assert code == 0
     assert "witness length 13" in out
     target = parse_graph(target_out.read_text())
     assert target.num_vertices == 9 and target.num_edges == 18
+    witness.write_text("# a Hamiltonian path\nx1 y1 x2  # half\ny2 x3 y3\n")
+    assert run(capsys, argv) == (0, out, "")
 
 
 def test_reduce_cover_witness(capsys, tmp_path):
@@ -171,6 +177,23 @@ def test_reduce_cover_witness(capsys, tmp_path):
     assert record["witness_length"] == 15 and record["losses"] == 1
 
 
+@pytest.mark.parametrize("text, message", [
+    ("v1 v2\nv2 v2\n", "line 2: self-loop"),
+    ("v1 v2\n# comment\nv2 v3\nv3 v2\n", "line 4: duplicate edge"),
+    ("v1 v2\nv2 v3 v1\n", "line 2: expected two labels"),
+], ids=["self-loop", "duplicate", "token-count"])
+def test_reduce_cover_witness_parse_errors(capsys, tmp_path, text, message):
+    graph_file = tmp_path / "p3.edges"
+    graph_file.write_text("v1 v2\nv2 v3\n")
+    witness = tmp_path / "cover1.txt"
+    witness.write_text(text)
+    code, out, err = run(capsys, ["reduce", "cover1-coverk", "--k", "2",
+                                  "--graph", str(graph_file),
+                                  "--witness", str(witness)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"usage error: {message}")
+
+
 def test_reduce_domain_error(capsys, tmp_path):
     graph_file = tmp_path / "k4.edges"
     graph_file.write_text(serialize_graph(complete(4)))
@@ -183,19 +206,6 @@ def test_conjecture(capsys):
     code, out, _ = run(capsys, ["conjecture", "--max-k", "6"])
     assert code == 0
     assert out.count("equal") == 6
-
-
-def test_threads_flag(capsys, monkeypatch):
-    code, out, _ = run(capsys, ["ak", "--k", "2", "--threads", "4"])
-    assert code == 0
-    code, _, err = run(capsys, ["ak", "--k", "2", "--threads", "0"])
-    assert code == 2
-    monkeypatch.setenv("RADIUSKIT_THREADS", "3")
-    code, out, _ = run(capsys, ["ak", "--k", "2"])
-    assert code == 0
-    monkeypatch.setenv("RADIUSKIT_THREADS", "0")
-    code, _, _ = run(capsys, ["ak", "--k", "2"])
-    assert code == 2
 
 
 def test_construct_euler_requires_graph(capsys):

@@ -7,9 +7,10 @@ import pytest
 
 from radiuskit.errors import InputError, InvalidParameterError, ParseError
 from radiuskit.graphs import (Graph, attach_pendants, circulant, complete,
-                              complete_bipartite, cycle, hamiltonian_path,
-                              line_graph, line_graph_edge_count, parse_graph,
-                              path, serialize_graph)
+                              complete_bipartite, cycle, edge_label,
+                              hamiltonian_path, line_graph,
+                              line_graph_edge_count, parse_graph, path,
+                              serialize_graph)
 
 
 def test_generators():
@@ -68,6 +69,9 @@ def test_line_graph():
     assert sorted(lg.degree(v) for v in lg.vertices) == [1, 1, 2]
     lg = line_graph(complete_bipartite(3, 3))
     assert (lg.num_vertices, lg.num_edges) == (9, 18)
+    assert edge_label("y1", "x2") == "x2|y1"
+    assert lg.vertices == tuple(edge_label(u, v) for u, v in
+                                complete_bipartite(3, 3).edges)
 
 
 def test_line_graph_handshake():
@@ -134,6 +138,8 @@ def test_hamiltonian_path():
     assert hamiltonian_path(star) is None
     found = hamiltonian_path(complete_bipartite(2, 2))
     assert found is not None and len(found) == 4
+    long_path = path(1200)  # deeper than the default recursion limit
+    assert hamiltonian_path(long_path) == list(long_path.vertices)
 
 
 def test_bipartition_and_connectivity():

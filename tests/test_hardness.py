@@ -104,6 +104,10 @@ def test_cover_witness_rejects():
             inst, [("v1", "v2"), ("v3", "v4"), ("v2", "v3")])
     with pytest.raises(WitnessError):
         cover1_witness_to_coverk(inst, [("v1", "v2"), ("v2", "v3")])
+    with pytest.raises(WitnessError) as err:
+        cover1_witness_to_coverk(
+            inst, [("v1", "v2"), ("v2", "v2"), ("v2", "v3"), ("v3", "v4")])
+    assert "'v2' 'v2' is not an edge" in str(err.value)
 
 
 def test_cover_witness_rejects_pivot():
