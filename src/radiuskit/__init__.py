@@ -9,10 +9,11 @@ two hardness-reduction instance builders.
 from .binseq import (BadPairReport, CyclicBitString, characteristic,
                      construct_low_bad, count_bad_pairs, wk_exact)
 from .debruijn import (DeBruijnGraph, OptimalCycle, ak, ak_bounds,
-                       build_debruijn, dk, min_normalized_cycle, zk)
+                       build_debruijn, check_certificate, dk,
+                       min_normalized_cycle, zk)
 from .errors import (BudgetError, InputError, InvalidParameterError,
                      ParseError, RadiuskitError, StructureError,
-                     UnsupportedLengthError, WitnessError)
+                     UnsupportedLengthError, VerificationError, WitnessError)
 from .exact import (ExactResult, SearchBudget, exact_ck, exact_fk,
                     exact_maxcut)
 from .graphs import (Graph, attach_pendants, circulant, complete,

@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 1 domain errors (invalid sequences, uncovered edges,
 bad witnesses), 2 usage errors (bad flags, malformed files), 3 budget
-exhaustion.  Output is human-readable by default; --format json-lines emits
-one JSON object per line whose embedded sequences and edge lists round-trip
-through the file-format parsers.
+exhaustion, 4 a computed result that failed its own certificate check (an
+internal fault: every a_k is checked against its potentials and witness
+before it is printed).  Output is human-readable by default; --format
+json-lines emits one JSON object per line whose embedded sequences and edge
+lists round-trip through the file-format parsers.
 """
 
 import argparse
@@ -15,7 +17,7 @@ from fractions import Fraction
 from . import binseq, debruijn, exact, graphs, hardness, radius
 from .errors import (BudgetError, InputError, InvalidParameterError,
                      ParseError, StructureError, UnsupportedLengthError,
-                     WitnessError)
+                     VerificationError, WitnessError)
 
 _USAGE_ERRORS = (InvalidParameterError, ParseError, FileNotFoundError)
 _DOMAIN_ERRORS = (InputError, WitnessError, StructureError,
@@ -421,6 +423,10 @@ def main(argv=None):
     except BudgetError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
+    except VerificationError as exc:
+        print(f"internal error: result failed verification: {exc}",
+              file=sys.stderr)
+        return 4
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -5,23 +5,27 @@ vertices and all t^(k+1) words as edges; the weight of an edge counts how
 often its leading symbol recurs among the remaining k positions.  The least
 normalized (weight over length) cycle weight is the constant that drives the
 lower bound e(G)/(k - a_k) for bipartite graphs, so everything here is exact:
-weights are integers and ratios are `fractions.Fraction`.
+weights are integers and ratios are `fractions.Fraction`, and every minimum
+ships with potentials and a witness cycle that `check_certificate` verifies
+independently of the search that found them.
 
 Vertices are encoded as integers with the first symbol most significant, so
 lexicographic word order coincides with numeric order.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BudgetError, InvalidParameterError
+from .errors import BudgetError, InvalidParameterError, VerificationError
 
-# Default cap on the vertex count of the exact minimum-cycle DP (the DP is
-# O(V*E) = O(t^(2k+1)); 2^14 vertices keeps it around 2^29 elementary steps).
+# Default cap on the vertex count of the exact minimum-cycle search.  Howard
+# policy iteration takes about k rounds of O(E log V) vectorized work: about
+# 0.1 s at the cap (binary k = 14, 12 rounds) on a 2-core Xeon, and about
+# 15 s at 2^20 vertices when the cap is raised through `max_vertices`.
 DEFAULT_MAX_VERTICES = 1 << 14
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -129,7 +133,9 @@ class OptimalCycle:
 
     `symbols` is one period of the cyclic word, canonicalized to its
     lexicographically least rotation; the ell windows of the word are
-    pairwise-distinct vertices.
+    pairwise-distinct vertices.  `potentials` (read-only int64, one per
+    vertex code) certify the minimum: `check_certificate` accepts them
+    with `normalized` and `symbols`.
     """
 
     k: int
@@ -138,6 +144,7 @@ class OptimalCycle:
     length: int
     total_weight: int
     normalized: Fraction
+    potentials: np.ndarray = field(compare=False, repr=False)
 
     @property
     def word(self):
@@ -205,17 +212,20 @@ def _pred_indices(k, t):
 
 
 def min_normalized_cycle(g, max_vertices=DEFAULT_MAX_VERTICES):
-    """Exact minimum normalized cycle weight of g, with a witness cycle.
+    """Exact minimum normalized cycle weight of g, with a certified witness.
 
-    Runs the classic two-pass minimum cycle mean dynamic program (walk
-    lengths 0..V from a fixed source, then a max-ratio sweep), followed by a
-    potential-based extraction: reweight edges by q*w - p, compute shortest
-    walk distances, and take any cycle of tight edges.  Every cycle found
-    that way attains the minimum exactly.  Ties between optimal cycles are
-    broken by a deterministic DFS (increasing vertex codes, then increasing
-    appended symbols); any minimum cycle is acceptable downstream.
+    Finds the minimum mu = p/q by Howard policy iteration in exact int64
+    arithmetic, then extracts a witness from potentials: reweight edges by
+    q*w - p, compute shortest walk distances, and take any cycle of tight
+    edges.  Every cycle found that way attains the minimum exactly.  Ties
+    between optimal cycles are broken by a deterministic DFS (increasing
+    vertex codes, then increasing appended symbols); any minimum cycle is
+    acceptable downstream.  Before returning, `check_certificate` re-checks
+    mu from the distances and the witness alone.
 
-    Raises BudgetError when the vertex count exceeds `max_vertices`.
+    Raises BudgetError when the vertex count exceeds `max_vertices` or the
+    potentials could outgrow their int64 headroom, and VerificationError if
+    the certificate fails (an internal fault, never a valid result).
     """
     k, t = g.k, g.alphabet
     size = t ** k
@@ -223,43 +233,18 @@ def min_normalized_cycle(g, max_vertices=DEFAULT_MAX_VERTICES):
         raise BudgetError(
             f"minimum-cycle DP needs {size} vertices, over the budget of "
             f"{max_vertices}; raise max_vertices to force the computation")
+    # Howard's scaled potentials stay within 2*k*V^2 in magnitude and the
+    # tight-cycle distances within k*V^2; both must stay below the walk
+    # sentinel _INF = 2^50, which leaves 2^13 of headroom below int64.
+    if 2 * k * size * size >= _INF:
+        raise BudgetError(
+            f"minimum-cycle potentials for {size} vertices at k = {k} "
+            f"would exceed the int64 headroom")
 
     cnt = _digit_counts(k, t)
+    minimum = _howard_min_mean(k, t, cnt)
     idx = _pred_indices(k, t)
-
-    # Pass 1: shortest walk of exactly V steps from source 0 to each vertex.
-    dist = np.full(size, _INF, dtype=np.int64)
-    dist[0] = 0
-    for _ in range(size):
-        dist = _dp_step(dist, idx, cnt)
-    d_final = dist
-
-    # Pass 2: recompute D_m for m = 0..V-1, maintaining per-vertex
-    # max_m (D_V[v] - D_m[v]) / (V - m) with exact cross-multiplied compares.
-    best_num = np.zeros(size, dtype=np.int64)
-    best_den = np.zeros(size, dtype=np.int64)  # 0 marks "no finite D_m yet"
-    dist = np.full(size, _INF, dtype=np.int64)
-    dist[0] = 0
-    for m in range(size):
-        reachable = dist < (_INF >> 1)
-        cand_num = np.where(reachable, d_final - dist, 0)
-        cand_den = np.int64(size - m)
-        fresh = reachable & (best_den == 0)
-        better = reachable & (best_den > 0) & (
-            cand_num * best_den > best_num * cand_den)
-        update = fresh | better
-        best_num[update] = cand_num[update]
-        best_den[update] = cand_den
-        dist = _dp_step(dist, idx, cnt)
-
-    assert bool((best_den > 0).all()), "source must reach every vertex"
-    minimum = None
-    for v in range(size):
-        value = Fraction(int(best_num[v]), int(best_den[v]))
-        if minimum is None or value < minimum:
-            minimum = value
-
-    cycle_codes = _extract_tight_cycle(k, t, cnt, idx, minimum)
+    cycle_codes, potentials = _extract_tight_cycle(k, t, cnt, idx, minimum)
     shift = t ** (k - 1)
     symbols = tuple(int(v // shift) for v in cycle_codes)
     total = 0
@@ -267,10 +252,196 @@ def min_normalized_cycle(g, max_vertices=DEFAULT_MAX_VERTICES):
         w = cycle_codes[(i + 1) % len(cycle_codes)]
         total += int(cnt[v // shift][w])
     length = len(cycle_codes)
-    assert Fraction(total, length) == minimum
     symbols = _least_rotation(symbols)
+    check_certificate(k, t, minimum, potentials, symbols)
+    potentials.setflags(write=False)
     return OptimalCycle(k=k, alphabet=t, symbols=symbols, length=length,
-                        total_weight=total, normalized=minimum)
+                        total_weight=total, normalized=minimum,
+                        potentials=potentials)
+
+
+def _howard_min_mean(k, t, cnt):
+    """Minimum cycle mean by Howard policy iteration, as a Fraction.
+
+    A policy picks one successor symbol per vertex (Cochet-Terrasson et al.
+    1998); its graph is functional, so every vertex drains into one cycle.
+    `_evaluate_policy` gives each vertex its cycle's mean and a potential,
+    and `_improve_policy` switches vertices to better successors until none
+    is better.  The de Bruijn graph is strongly connected, so at the end
+    every vertex has the same mean: the minimum.
+    """
+    size = t ** k
+    shift = t ** (k - 1)
+    base = np.arange(size) % shift * t  # u's successors are base[u] + c
+    weights = cnt[np.arange(size) // shift, base + np.arange(t)[:, None]]
+    rounds = max(1, (size - 1).bit_length())  # 2^rounds >= size
+
+    sym = np.argmin(weights, axis=0)
+    while True:
+        p, q, x = _evaluate_policy(base + sym, np.choose(sym, weights),
+                                   rounds)
+        if not _improve_policy(sym, p, q, x, base, weights):
+            return Fraction(int(p[0]), int(q[0]))
+        del p, q, x  # free them before the next evaluation
+
+
+def _improve_policy(sym, p, q, x, base, weights):
+    """One improvement step on the policy `sym`, in place.
+
+    Vertices move to a successor of strictly smaller mean when any vertex
+    has one, else to a same-mean successor of strictly smaller potential.
+    Each step lowers the (mean, X) pair of some vertex and raises none (a
+    kept cycle keeps its anchor, so its potentials stay), so no policy
+    repeats.  Returns False when no vertex moves: the policy is optimal.
+    """
+    choice, move = _lower_mean_moves(p, q, base, len(weights))
+    if not move.any():
+        choice, move = _lower_potential_moves(p, q, x, base, weights)
+    sym[move] = choice[move]
+    return bool(move.any())
+
+
+def _lower_mean_moves(p, q, base, t):
+    """Successor symbols of least mean, and where that mean is lower.
+
+    Returns each vertex's successor of least mean (ties to the lowest
+    symbol) and the mask of vertices whose own mean is strictly larger.
+    """
+    choice = np.zeros(len(base), dtype=np.int64)
+    best_p, best_q = p[base], q[base]
+    for c in range(1, t):
+        cp, cq = p[base + c], q[base + c]
+        lower = cp * best_q < best_p * cq
+        choice[lower] = c
+        best_p[lower] = cp[lower]
+        best_q[lower] = cq[lower]
+    return choice, best_p * q < p * best_q
+
+
+def _lower_potential_moves(p, q, x, base, weights):
+    """Successor symbols of least potential, and where it is lower.
+
+    Returns each vertex's same-mean successor of least q*w - p + X (ties
+    to the lowest symbol) and the mask of vertices where that is below X.
+    """
+    choice = np.zeros(len(base), dtype=np.int64)
+    best_x = x.copy()
+    for c, weight in enumerate(weights):
+        v = base + c
+        value = x[v]
+        value += q * weight - p
+        lower = (value < best_x) & (p[v] == p) & (q[v] == q)
+        choice[lower] = c
+        best_x[lower] = value[lower]
+    return choice, best_x < x
+
+
+def _evaluate_policy(succ, weight, rounds):
+    """Cycle mean and scaled potential of every vertex of a functional graph.
+
+    Pointer doubling over `rounds` squarings of u -> succ[u] finds, for each
+    vertex, a vertex on the cycle it drains into and that cycle's least
+    code, its anchor.  Returns int64 arrays p, q, X: the cycle's mean p/q in
+    lowest terms, and X = q*S - d*p with S the weight and d the step count
+    of the path from the vertex to its anchor.
+    """
+    anchor, on_cycle = _cycle_anchors(succ, rounds)
+    p, q = _cycle_means(anchor, on_cycle, weight)
+    is_anchor = anchor == np.arange(len(succ))
+    nxt = np.where(is_anchor, anchor, succ)
+    s = np.where(is_anchor, 0, weight)
+    d = (~is_anchor).astype(np.int64)
+    for _ in range(rounds):
+        s += s[nxt]
+        d += d[nxt]
+        nxt = nxt[nxt]
+    s *= q
+    d *= p
+    s -= d
+    return p, q, s
+
+
+def _cycle_means(anchor, on_cycle, weight):
+    """Each vertex's cycle mean as int64 arrays p, q in lowest terms."""
+    cycle_anchor = anchor[on_cycle]
+    total = np.zeros(len(anchor), dtype=np.int64)
+    np.add.at(total, cycle_anchor, weight[on_cycle])
+    p = total[anchor]
+    q = np.bincount(cycle_anchor, minlength=len(anchor))[anchor]
+    common = np.gcd(p, q)
+    p //= common
+    q //= common
+    return p, q
+
+
+def _cycle_anchors(succ, rounds):
+    """Least code of each vertex's cycle, and the mask of cycle vertices."""
+    jump, low = succ, np.arange(len(succ))
+    for _ in range(rounds):
+        low = np.minimum(low, low[jump])
+        jump = jump[jump]
+    # jump[u] is on u's cycle and low[jump[u]] spans 2^rounds >= cycle steps.
+    on_cycle = np.zeros(len(succ), dtype=bool)
+    on_cycle[jump] = True
+    return low[jump], on_cycle
+
+
+def check_certificate(k, alphabet, normalized, potentials, symbols):
+    """Check that `normalized` is the least normalized cycle weight.
+
+    Independent of how the value was found, with exact integers in O(E):
+    with p/q = normalized, every edge u -> v must satisfy
+    q*w(u->v) - p + potentials[u] - potentials[v] >= 0, so every cycle
+    weighs at least p/q per edge; and `symbols` must be one period of a
+    cyclic word with pairwise-distinct k-windows (a simple cycle) weighing
+    exactly p/q per edge.  Raises VerificationError on the first failure.
+    """
+    t = alphabet
+    mu = Fraction(normalized)
+    p, q = mu.numerator, mu.denominator
+    size = t ** k
+    pi = np.asarray(potentials)
+    if pi.shape != (size,) or not np.issubdtype(pi.dtype, np.integer):
+        raise VerificationError(
+            f"potentials must be {size} integers, got shape {pi.shape} of "
+            f"{pi.dtype}")
+    # Keep every q*w - p + pi(u) - pi(v) below 2^63 in magnitude.
+    limit = 1 << 61
+    if (abs(p) >= limit or q * k >= limit
+            or int(pi.min()) <= -limit or int(pi.max()) >= limit):
+        raise VerificationError("certificate values exceed int64 headroom")
+    pi = pi.astype(np.int64, copy=False)
+
+    u = np.arange(size, dtype=np.int64)
+    head = u // (size // t)
+    for c in range(t):  # the edges u -> v that append symbol c
+        v = u % (size // t) * t + c
+        weight = np.zeros(size, dtype=np.int64)
+        rest = v.copy()
+        for _ in range(k):
+            weight += rest % t == head
+            rest //= t
+        slack = q * weight - p + pi - pi[v]
+        bad = np.flatnonzero(slack < 0)
+        if len(bad):
+            e = int(bad[0])
+            raise VerificationError(
+                f"edge {e}->{int(v[e])} has negative reduced weight "
+                f"{int(slack[e])} for mu = {mu}")
+
+    n = len(symbols)
+    if n == 0 or any(s not in range(t) for s in symbols):
+        raise VerificationError(f"witness {symbols!r} is not a word over "
+                                f"{t} symbols")
+    windows = {tuple(symbols[(i + j) % n] for j in range(k))
+               for i in range(n)}
+    if len(windows) != n:
+        raise VerificationError("witness windows are not distinct")
+    total = sum(symbols[(i + j) % n] == symbols[i]
+                for i in range(n) for j in range(1, k + 1))
+    if total * q != p * n:
+        raise VerificationError(
+            f"witness weighs {total}/{n} per edge, not {mu}")
 
 
 def _extract_tight_cycle(k, t, cnt, idx, mu):
@@ -279,6 +450,7 @@ def _extract_tight_cycle(k, t, cnt, idx, mu):
     With w'(e) = q*w(e) - p every cycle has nonnegative w'-weight and the
     optimal ones weigh exactly 0, so after computing shortest-walk potentials
     the zero-reduced-weight subgraph contains exactly the optimal cycles.
+    Returns the cycle's vertex codes and those potentials.
     """
     p, q = mu.numerator, mu.denominator
     size = t ** k
@@ -292,7 +464,7 @@ def _extract_tight_cycle(k, t, cnt, idx, mu):
             break
         dist = new
     else:
-        raise AssertionError("negative cycle in reweighted graph")
+        raise VerificationError("negative cycle in reweighted graph")
 
     shift = t ** (k - 1)
     mask = size // t  # == t^(k-1), modulus for suffix extraction
@@ -319,7 +491,7 @@ def _extract_tight_cycle(k, t, cnt, idx, mu):
             advanced = False
             for v in it:
                 if color[v] == 1:
-                    return path[pos[v]:]
+                    return path[pos[v]:], dist
                 if color[v] == 0:
                     color[v] = 1
                     pos[v] = len(path)
@@ -332,7 +504,7 @@ def _extract_tight_cycle(k, t, cnt, idx, mu):
                 color[u] = 2
                 pos.pop(u, None)
                 path.pop()
-    raise AssertionError("tight subgraph must contain a cycle")
+    raise VerificationError("tight subgraph must contain a cycle")
 
 
 def _least_rotation(symbols):
@@ -397,7 +569,9 @@ def ak_bounds(k):
         raise InvalidParameterError(f"k must be >= 1, got {k}")
     lower = max(0.0, math.sqrt(2 * k * (k - 1)) - k)
     upper = zk(k).value
-    assert lower <= upper, "analytic lower bound exceeded the cycle bound"
+    if lower > upper:
+        raise VerificationError(
+            "analytic lower bound exceeded the cycle bound")
     return AkBounds(lower, upper)
 
 

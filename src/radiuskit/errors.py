@@ -2,7 +2,9 @@
 
 The CLI maps these onto exit codes: invalid parameters and parse failures
 are usage errors (2), witness/structure/input problems are domain errors
-(1), and budget exhaustion is reported separately (3).
+(1), budget exhaustion is reported separately (3), and a failed
+self-check of a computed result (an internal fault, such as an a_k
+certificate that does not hold) is 4.
 """
 
 
@@ -48,3 +50,7 @@ class UnsupportedLengthError(RadiuskitError, ValueError):
 
 class BudgetError(RadiuskitError, RuntimeError):
     """An exact computation would exceed its configured resource budget."""
+
+
+class VerificationError(RadiuskitError, RuntimeError):
+    """A computed result failed its own certificate check (internal fault)."""

@@ -187,10 +187,16 @@ def edge_label(u, v):
 def line_graph(g):
     """Graph on g's edges, adjacent when the edges share an endpoint.
 
-    Vertex labels are `edge_label` of each edge.
+    Vertex labels are `edge_label` of each edge.  A vertex label containing
+    '|' raises InputError, since two edges could then share a label.
     """
     if g.num_edges < 1:
         raise InvalidParameterError("line graph needs at least one edge")
+    for v in g.vertices:
+        if "|" in v:
+            raise InputError(
+                f"label {v!r} contains '|', which separates the endpoints "
+                f"of line-graph labels")
     label = {frozenset(e): edge_label(*e) for e in g.edges}
     vs = [label[frozenset(e)] for e in g.edges]
     edges = []
@@ -269,10 +275,22 @@ def hamiltonian_path(g):
 
     Plain backtracking in label order, with an explicit stack of neighbor
     iterators so long paths do not hit the recursion limit; meant for the
-    tiny instances the exact solvers and reduction tests deal with.
+    tiny instances the exact solvers and reduction tests deal with.  Degree
+    counts prune it without changing the answer: with two or more vertices,
+    an isolated vertex or three degree-1 vertices rule a path out, and two
+    degree-1 vertices must be its ends, so only they are tried as starts.
     """
     n = g.num_vertices
-    for start in sorted(g.vertices):
+    starts = sorted(g.vertices)
+    if n >= 2:
+        if any(g.degree(v) == 0 for v in starts):
+            return None
+        leaves = [v for v in starts if g.degree(v) == 1]
+        if len(leaves) >= 3:
+            return None
+        if len(leaves) == 2:
+            starts = leaves
+    for start in starts:
         pathlist = [start]
         used = {start}
         stack = [iter(g.neighbors(start))]

@@ -284,7 +284,8 @@ def find_one_cover(h):
     path_labels = hamiltonian_path(lg)
     if path_labels is None:
         return None
-    return [tuple(label.split("|")) for label in path_labels]
+    edge_of = {edge_label(u, v): tuple(sorted((u, v))) for u, v in h.edges}
+    return [edge_of[label] for label in path_labels]
 
 
 def instance_metadata(inst):

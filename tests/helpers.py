@@ -1,5 +1,10 @@
 """Shared test utilities."""
 
+from fractions import Fraction
+
+import numpy as np
+
+from radiuskit import debruijn
 from radiuskit.graphs import Graph
 from radiuskit.radius import CoverSequence
 
@@ -45,3 +50,73 @@ def random_valid_cover(g, k, rng):
             sets.append(frozenset(current))
         covered.update(e for e in g.edge_set() if e <= current)
     return CoverSequence(g, k, tuple(sets))
+
+
+def karp_min_cycle(k, t=2):
+    """Test oracle: the two-pass Karp minimum cycle mean DP, O(V*E).
+
+    Pass 1 takes shortest walks of exactly V steps from vertex 0; pass 2
+    replays walk lengths 0..V-1 and keeps, per vertex, the largest
+    (D_V - D_m) / (V - m) by cross-multiplied compares; the minimum over
+    vertices is the minimum cycle mean (Karp 1978).  The witness comes from
+    the same tight-cycle extraction the library uses.  Returns (mean,
+    symbols) with the symbols at their least rotation.
+    """
+    size = t ** k
+    cnt = debruijn._digit_counts(k, t)
+    idx = debruijn._pred_indices(k, t)
+    inf = debruijn._INF
+
+    dist = np.full(size, inf, dtype=np.int64)
+    dist[0] = 0
+    for _ in range(size):
+        dist = debruijn._dp_step(dist, idx, cnt)
+    d_final = dist
+
+    # An unreached D_m stays near inf, so its candidate (about -inf) loses
+    # to every finite one; products stay within 2^50 * V <= 2^62.
+    assert size <= 1 << 12
+    best_num = np.full(size, -inf, dtype=np.int64)
+    best_den = np.ones(size, dtype=np.int64)
+    dist = np.full(size, inf, dtype=np.int64)
+    dist[0] = 0
+    for m in range(size):
+        cand = d_final - dist
+        better = cand * best_den > best_num * (size - m)
+        np.copyto(best_num, cand, where=better)
+        np.copyto(best_den, size - m, where=better)
+        dist = debruijn._dp_step(dist, idx, cnt)
+
+    assert (best_num > -(inf >> 1)).all(), "source must reach every vertex"
+    minimum = min(Fraction(int(n), int(d))
+                  for n, d in zip(best_num, best_den))
+    codes, _ = debruijn._extract_tight_cycle(k, t, cnt, idx, minimum)
+    shift = t ** (k - 1)
+    symbols = tuple(int(v // shift) for v in codes)
+    return minimum, debruijn._least_rotation(symbols)
+
+
+def hamiltonian_path_reference(g):
+    """Unpruned backtracking from every start in label order.
+
+    `graphs.hamiltonian_path` as it was before its degree prunings; the
+    pruned search must return exactly what this returns.
+    """
+    n = g.num_vertices
+    for start in sorted(g.vertices):
+        pathlist = [start]
+        used = {start}
+        stack = [iter(g.neighbors(start))]
+        while stack:
+            if len(pathlist) == n:
+                return pathlist
+            for w in stack[-1]:
+                if w not in used:
+                    used.add(w)
+                    pathlist.append(w)
+                    stack.append(iter(g.neighbors(w)))
+                    break
+            else:
+                stack.pop()
+                used.remove(pathlist.pop())
+    return None

@@ -1,9 +1,12 @@
 """End-to-end CLI tests (in-process through main)."""
 
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from radiuskit import debruijn
 from radiuskit.cli import main
 from radiuskit.graphs import complete, complete_bipartite, parse_graph, \
     serialize_graph
@@ -82,6 +85,28 @@ def test_usage_errors(capsys, tmp_path, k4_file):
 def test_budget_exit(capsys):
     code, _, err = run(capsys, ["ak", "--k", "25"])
     assert code == 3 and "budget" in err
+
+
+# `ak --k 13/14 --cycle` and `conjecture --max-k 14` as the Karp DP printed
+# them: exit code, stdout, stderr.
+AK_OUTPUTS = json.loads(
+    Path(__file__).with_name("ak_outputs.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("command", sorted(AK_OUTPUTS))
+def test_ak_outputs_pinned(capsys, command):
+    assert list(run(capsys, command.split())) == AK_OUTPUTS[command]
+
+
+def test_verification_failure_exit(capsys, monkeypatch):
+    true_mean = debruijn._howard_min_mean
+    for shift in (Fraction(-1, 2), Fraction(1, 2)):
+        monkeypatch.setattr(debruijn, "_howard_min_mean",
+                            lambda k, t, cnt: true_mean(k, t, cnt) + shift)
+        code, out, err = run(capsys, ["ak", "--k", "5"])
+        assert code == 4 and out == ""
+        assert err.startswith("internal error: result failed verification")
+        assert "Traceback" not in err
 
 
 def test_table2_byte_stable(capsys):
@@ -200,6 +225,15 @@ def test_reduce_domain_error(capsys, tmp_path):
     code, _, err = run(capsys, ["reduce", "ham-radius", "--k", "2",
                                 "--graph", str(graph_file)])
     assert code == 1 and "triangle" in err
+
+
+def test_reduce_rejects_separator_labels(capsys, tmp_path):
+    graph_file = tmp_path / "k33.edges"
+    graph_file.write_text("".join(f"x|{i} y{j}\n" for i in range(1, 4)
+                                  for j in range(1, 4)))
+    code, _, err = run(capsys, ["reduce", "ham-radius", "--k", "2",
+                                "--graph", str(graph_file)])
+    assert code == 1 and "'|'" in err and "Traceback" not in err
 
 
 def test_conjecture(capsys):

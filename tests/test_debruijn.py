@@ -3,11 +3,15 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from helpers import karp_min_cycle
 
-from radiuskit.debruijn import (ak, ak_bounds, build_debruijn, dk,
-                                min_normalized_cycle, zk)
-from radiuskit.errors import BudgetError, InvalidParameterError
+from radiuskit.debruijn import (ak, ak_bounds, build_debruijn,
+                                check_certificate, dk, min_normalized_cycle,
+                                zk)
+from radiuskit.errors import (BudgetError, InvalidParameterError,
+                              VerificationError)
 
 
 def all_cycle_min_mean(k, t=2):
@@ -119,6 +123,60 @@ def test_exhaustive_cycle_oracle_binary(k):
 @pytest.mark.parametrize("k,t", [(1, 3), (2, 3), (1, 4)])
 def test_exhaustive_cycle_oracle_tary(k, t):
     assert ak(k, alphabet=t) == all_cycle_min_mean(k, t)
+
+
+# Every binary case through k = 12 and every t-ary one (t <= 10) with at
+# most 1024 vertices.
+KARP_CASES = [(k, 2) for k in range(1, 13)] + [
+    (k, t) for t in range(3, 11) for k in range(1, 7) if t ** k <= 1024]
+
+
+@pytest.mark.parametrize("k,t", KARP_CASES)
+def test_howard_matches_karp_oracle(k, t):
+    cycle = min_normalized_cycle(build_debruijn(k, t))
+    assert (cycle.normalized, cycle.symbols) == karp_min_cycle(k, t)
+
+
+@pytest.mark.parametrize("k,t", [(1, 2), (5, 2), (9, 2), (3, 3), (2, 7)])
+def test_certificate_accepts_results(k, t):
+    cycle = min_normalized_cycle(build_debruijn(k, t))
+    pi = cycle.potentials
+    assert pi.dtype == np.int64 and pi.shape == (t ** k,)
+    assert not pi.flags.writeable
+    assert "potentials" not in repr(cycle)
+    check_certificate(k, t, cycle.normalized, pi, cycle.symbols)
+
+
+def test_certificate_rejects_tampering():
+    k = 7
+    cycle = min_normalized_cycle(build_debruijn(k))
+    mu, pi, symbols = cycle.normalized, cycle.potentials, cycle.symbols
+    assert mu == Fraction(13, 5)
+    # every vertex but the source 0 has a tight incoming edge, so raising
+    # its potential breaks that edge
+    bumped = pi.copy()
+    bumped[37] += 1
+    with pytest.raises(VerificationError, match="negative reduced weight"):
+        check_certificate(k, 2, mu, bumped, symbols)
+    # 12/5 keeps every edge's reduced weight >= 0 with the same potentials
+    # (all rise by 1), so only the witness's weight can expose it
+    with pytest.raises(VerificationError, match="per edge"):
+        check_certificate(k, 2, Fraction(12, 5), pi, symbols)
+    with pytest.raises(VerificationError, match="negative reduced weight"):
+        check_certificate(k, 2, mu + Fraction(1, 100), pi, symbols)
+    # twice around the same cycle: right weight per edge, but not simple
+    with pytest.raises(VerificationError, match="not distinct"):
+        check_certificate(k, 2, mu, pi, symbols + symbols)
+    with pytest.raises(VerificationError):
+        check_certificate(k, 2, mu, pi[:-1], symbols)
+    with pytest.raises(VerificationError):
+        check_certificate(k, 2, mu, pi, symbols[:-1] + (2,))
+
+
+def test_potential_headroom_guard():
+    # 2 * 23 * (2^23)^2 >= 2^50: refused before any array is built
+    with pytest.raises(BudgetError, match="headroom"):
+        min_normalized_cycle(build_debruijn(23), max_vertices=1 << 23)
 
 
 def test_zk_values():

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from helpers import hamiltonian_path_reference
 
 from radiuskit.errors import InputError, InvalidParameterError, ParseError
 from radiuskit.graphs import (Graph, attach_pendants, circulant, complete,
@@ -140,6 +141,45 @@ def test_hamiltonian_path():
     assert found is not None and len(found) == 4
     long_path = path(1200)  # deeper than the default recursion limit
     assert hamiltonian_path(long_path) == list(long_path.vertices)
+
+
+def _random_sparse_graph(rng):
+    """Trees, paths and sparse graphs, with leaves and isolated vertices."""
+    n = rng.randrange(1, 10)
+    labels = [f"w{i}" for i in range(n)]
+    rng.shuffle(labels)
+    edges = set()
+    if rng.random() < 0.5:  # a random tree plus a few chords
+        for i in range(1, n):
+            edges.add((labels[rng.randrange(i)], labels[i]))
+    for _ in range(rng.randrange(0, n + 2)):
+        u, v = rng.sample(labels, 2) if n >= 2 else (labels[0], labels[0])
+        if u != v and (v, u) not in edges:
+            edges.add((u, v))
+    return Graph(labels, sorted(edges))
+
+
+def test_hamiltonian_path_prunings_keep_answers():
+    rng = random.Random(20261018)
+    found = pruned = 0
+    for _ in range(400):
+        g = _random_sparse_graph(rng)
+        expected = hamiltonian_path_reference(g)
+        assert hamiltonian_path(g) == expected
+        found += expected is not None
+        degrees = sorted(g.degree(v) for v in g.vertices)
+        pruned += g.num_vertices >= 2 and (degrees[0] == 0 or
+                                           degrees[:3] == [1, 1, 1])
+    assert found > 50 and pruned > 50  # both branches are exercised
+    assert hamiltonian_path(Graph(("solo",), ())) == ["solo"]
+    assert hamiltonian_path(Graph(("a", "b"), ())) is None
+
+
+def test_line_graph_rejects_separator_labels():
+    # 'a|b c' and 'a b|c' would both be labelled 'a|b|c'
+    g = Graph((), [("a|b", "c"), ("a", "b|c"), ("c", "a")])
+    with pytest.raises(InputError):
+        line_graph(g)
 
 
 def test_bipartition_and_connectivity():

@@ -7,7 +7,7 @@ import pytest
 
 from radiuskit.errors import InputError, InvalidParameterError, WitnessError
 from radiuskit.exact import exact_ck
-from radiuskit.graphs import complete, complete_bipartite, cycle, path
+from radiuskit.graphs import Graph, complete, complete_bipartite, cycle, path
 from radiuskit.hardness import (cover1_witness_to_coverk, find_one_cover,
                                 hampath_witness_to_sequence, instance_metadata,
                                 loss_count, reduce_cover1_to_coverk,
@@ -161,6 +161,13 @@ def test_find_one_cover():
     assert len(edges) == 3 and len(set(edges)) == 3
     for a, b in zip(edges, edges[1:]):
         assert a & b
+
+
+def test_find_one_cover_rejects_separator_labels():
+    # labels joined by '|' collide: 'a|b c' and 'a b|c' are both 'a|b|c'
+    h = Graph((), [("a|b", "c"), ("a", "b|c"), ("c", "a")])
+    with pytest.raises(InputError):
+        find_one_cover(h)
 
 
 def test_metadata():
