@@ -272,13 +272,14 @@ def _howard_min_mean(k, t, cnt):
     """
     size = t ** k
     shift = t ** (k - 1)
-    base = np.arange(size) % shift * t  # u's successors are base[u] + c
-    weights = cnt[np.arange(size) // shift, base + np.arange(t)[:, None]]
+    vertices = np.arange(size)
+    base = vertices % shift * t  # u's successors are base[u] + c
+    weights = cnt[vertices // shift, base + np.arange(t)[:, None]]
     rounds = max(1, (size - 1).bit_length())  # 2^rounds >= size
 
     sym = np.argmin(weights, axis=0)
     while True:
-        p, q, x = _evaluate_policy(base + sym, np.choose(sym, weights),
+        p, q, x = _evaluate_policy(base + sym, weights[sym, vertices],
                                    rounds)
         if not _improve_policy(sym, p, q, x, base, weights):
             return Fraction(int(p[0]), int(q[0]))
@@ -389,7 +390,8 @@ def _cycle_anchors(succ, rounds):
 def check_certificate(k, alphabet, normalized, potentials, symbols):
     """Check that `normalized` is the least normalized cycle weight.
 
-    Independent of how the value was found, with exact integers in O(E):
+    Independent of how the value was found, with exact integers in O(k*E)
+    (each edge weight is recomputed digit by digit):
     with p/q = normalized, every edge u -> v must satisfy
     q*w(u->v) - p + potentials[u] - potentials[v] >= 0, so every cycle
     weighs at least p/q per edge; and `symbols` must be one period of a

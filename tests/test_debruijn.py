@@ -128,7 +128,8 @@ def test_exhaustive_cycle_oracle_tary(k, t):
 # Every binary case through k = 12 and every t-ary one (t <= 10) with at
 # most 1024 vertices.
 KARP_CASES = [(k, 2) for k in range(1, 13)] + [
-    (k, t) for t in range(3, 11) for k in range(1, 7) if t ** k <= 1024]
+    (k, t) for t in range(3, 11) for k in range(1, 7) if t ** k <= 1024] + [
+    (1, 64), (1, 100)]  # t >= 64: more successor arrays than np.choose takes
 
 
 @pytest.mark.parametrize("k,t", KARP_CASES)
@@ -137,7 +138,8 @@ def test_howard_matches_karp_oracle(k, t):
     assert (cycle.normalized, cycle.symbols) == karp_min_cycle(k, t)
 
 
-@pytest.mark.parametrize("k,t", [(1, 2), (5, 2), (9, 2), (3, 3), (2, 7)])
+@pytest.mark.parametrize(
+    "k,t", [(1, 2), (5, 2), (9, 2), (3, 3), (2, 7), (2, 64), (2, 100)])
 def test_certificate_accepts_results(k, t):
     cycle = min_normalized_cycle(build_debruijn(k, t))
     pi = cycle.potentials
