@@ -16,7 +16,7 @@ import numpy as np
 
 from . import debruijn
 from .errors import (BudgetError, InputError, InvalidParameterError,
-                     ParseError, UnsupportedLengthError)
+                     ParseError, UnsupportedLengthError, VerificationError)
 
 CYCLIC = "cyclic"
 LINEAR = "linear"
@@ -25,6 +25,10 @@ LINEAR = "linear"
 BRUTE_LIMIT = 1 << 26
 # Below this many strings, the auto method runs both routes and cross-checks.
 _CROSS_CHECK_LIMIT = 1 << 16
+# Entries per (rows, t^k) block of the walk DP: 2^14 int64 is 128 KB.  At
+# binary k = 10, blocks of 2^14 to 2^15 entries ran fastest; 2^16 and up
+# ran slower.
+_WALK_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -36,9 +40,7 @@ class CyclicBitString:
     mode: str = CYCLIC
 
     def __post_init__(self):
-        if self.alphabet < 2:
-            raise InvalidParameterError(
-                f"alphabet size must be >= 2, got {self.alphabet}")
+        debruijn._check_alphabet(self.alphabet)
         if self.mode not in (CYCLIC, LINEAR):
             raise InvalidParameterError(f"unknown mode {self.mode!r}")
         if any(not (0 <= s < self.alphabet) for s in self.symbols):
@@ -160,6 +162,7 @@ def _wk_brute_tary(k, s, t):
 
 def wk_brute(k, s, alphabet=2):
     """Brute-force w_k(s); requires alphabet**s <= BRUTE_LIMIT."""
+    debruijn._check_alphabet(alphabet)
     if s < 1:
         raise InvalidParameterError(f"length must be >= 1, got {s}")
     if alphabet ** s > BRUTE_LIMIT:
@@ -200,9 +203,22 @@ def wk_walk(k, s, alphabet=2, max_vertices=debruijn.DEFAULT_MAX_VERTICES):
 
     Cyclic strings of length s >= k+1 correspond bijectively to closed
     s-walks in the de Bruijn graph, so minimizing walk weight minimizes the
-    bad-pair count.  Start vertices are enumerated sequentially with a
-    rolling O(t^k) array per length step.
+    bad-pair count.  The walks start only from the set S = {0^k} plus the
+    windows that begin with the symbols 0, 1 (codes t^(k-2) to
+    2*t^(k-2) - 1; for k = 1, S = {0}), which is exact: the doubled edge
+    weights count only digits equal to the dropped symbol, so permuting the
+    symbols keeps every closed walk's weight.  A constant cyclic string maps
+    to the loop at 0^k.  Any other one has cyclically adjacent symbols
+    x_i != x_{i+1}, and the permutation sending them to 0, 1 maps the
+    window at i into S.  Hence the minimum over S is the minimum over all
+    t^k starts, from t^(k-2) + 1 of them.
+
+    The starts run in blocks of rows, one independent DP row per start,
+    each block a (rows, t^k) int64 array of at most _WALK_BLOCK entries
+    advanced by `debruijn._dp_step`; the value is the least
+    dist[row, start_row] after s steps.
     """
+    debruijn._check_alphabet(alphabet)
     t = alphabet
     if s < k + 1:
         raise InvalidParameterError(
@@ -213,17 +229,24 @@ def wk_walk(k, s, alphabet=2, max_vertices=debruijn.DEFAULT_MAX_VERTICES):
             f"walk DP needs {size} vertices, over the budget of {max_vertices}")
     weights = _truncated_weight_tables(k, s, t)
     idx = debruijn._pred_indices(k, t)
-    inf = debruijn._INF
-    best = None
-    for start in range(size):
-        dist = np.full(size, inf, dtype=np.int64)
-        dist[start] = 0
+    starts = np.zeros(1, dtype=np.int64)
+    if k >= 2:
+        low = t ** (k - 2)
+        starts = np.concatenate([starts, np.arange(low, 2 * low)])
+    rows = max(1, _WALK_BLOCK // size)
+    best = debruijn._INF
+    for lo in range(0, len(starts), rows):
+        block = starts[lo:lo + rows]
+        diagonal = (np.arange(len(block)), block)
+        dist = np.full((len(block), size), debruijn._INF, dtype=np.int64)
+        dist[diagonal] = 0
         for _ in range(s):
             dist = debruijn._dp_step(dist, idx, weights)
-        value = int(dist[start])
-        if value < inf and (best is None or value < best):
-            best = value
-    assert best is not None and best % 2 == 0
+        best = min(best, int(dist[diagonal].min()))
+    if best % 2:
+        raise VerificationError(
+            f"closed {s}-walk weight {best} is odd; doubled weights must "
+            f"give an even total")
     return best // 2
 
 
@@ -236,6 +259,7 @@ def wk_exact(k, s, alphabet=2, method="auto"):
     """
     if k < 1 or s < 1:
         raise InvalidParameterError(f"need k >= 1 and s >= 1, got k={k} s={s}")
+    debruijn._check_alphabet(alphabet)
     if method == "brute":
         return wk_brute(k, s, alphabet)
     if method == "walk":
@@ -254,8 +278,10 @@ def wk_exact(k, s, alphabet=2, method="auto"):
         value = wk_brute(k, s, alphabet)
         if walk_applies:
             check = wk_walk(k, s, alphabet)
-            assert check == value, \
-                f"walk/brute disagree for k={k} s={s}: {check} != {value}"
+            if check != value:
+                raise VerificationError(
+                    f"walk/brute disagree for k={k} s={s}: "
+                    f"{check} != {value}")
         return value
     return wk_walk(k, s, alphabet)
 

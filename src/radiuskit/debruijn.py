@@ -52,6 +52,12 @@ def _parse_symbols(word, alphabet):
     return symbols
 
 
+def _check_alphabet(alphabet):
+    if alphabet < 2:
+        raise InvalidParameterError(
+            f"alphabet size must be >= 2, got {alphabet}")
+
+
 @dataclass(frozen=True)
 class DeBruijnGraph:
     """All t-ary words of length k; edges are the (k+1)-ary words.
@@ -67,9 +73,7 @@ class DeBruijnGraph:
     def __post_init__(self):
         if self.k < 1:
             raise InvalidParameterError(f"window length k must be >= 1, got {self.k}")
-        if self.alphabet < 2:
-            raise InvalidParameterError(
-                f"alphabet size must be >= 2, got {self.alphabet}")
+        _check_alphabet(self.alphabet)
 
     @property
     def num_vertices(self):
@@ -197,10 +201,19 @@ _INF = np.int64(1) << 50
 
 
 def _dp_step(dist, idx, cnt):
-    """One forward step of the walk DP: new[v] = min_b dist[pred_b(v)] + w."""
-    best = dist[idx[0]] + cnt[0]
+    """One forward step of the walk DP: new[v] = min_b dist[pred_b(v)] + w.
+
+    `dist` is either one distance vector of shape (V,) or a block of
+    independent rows of shape (R, V); the step gathers along the last axis,
+    so every row advances by one step and the result has the shape of
+    `dist`.  `idx[b]` and `cnt[b]` are (V,) arrays shared by all rows.
+    """
+    best = dist.take(idx[0], axis=-1)
+    best += cnt[0]
     for b in range(1, len(idx)):
-        np.minimum(best, dist[idx[b]] + cnt[b], out=best)
+        cand = dist.take(idx[b], axis=-1)
+        cand += cnt[b]
+        np.minimum(best, cand, out=best)
     return best
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from radiuskit import debruijn
+from radiuskit import binseq, debruijn
 from radiuskit.graphs import Graph
 from radiuskit.radius import CoverSequence
 
@@ -94,6 +94,30 @@ def karp_min_cycle(k, t=2):
     shift = t ** (k - 1)
     symbols = tuple(int(v // shift) for v in codes)
     return minimum, debruijn._least_rotation(symbols)
+
+
+def wk_walk_all_starts(k, s, t=2):
+    """Test oracle: w_k(s) as the closed-walk DP from every one of the t^k
+    start vertices in turn, one rolling distance vector per start.
+
+    `binseq.wk_walk` as it was before it restricted the starts to the "01"
+    windows; the restricted search must return exactly what this returns.
+    """
+    size = t ** k
+    weights = binseq._truncated_weight_tables(k, s, t)
+    idx = debruijn._pred_indices(k, t)
+    inf = debruijn._INF
+    best = None
+    for start in range(size):
+        dist = np.full(size, inf, dtype=np.int64)
+        dist[start] = 0
+        for _ in range(s):
+            dist = debruijn._dp_step(dist, idx, weights)
+        value = int(dist[start])
+        if value < inf and (best is None or value < best):
+            best = value
+    assert best is not None and best % 2 == 0
+    return best // 2
 
 
 def hamiltonian_path_reference(g):

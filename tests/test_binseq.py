@@ -1,16 +1,19 @@
 """Tests for bad-pair accounting and exact w_k(s)."""
 
+import itertools
 import random
 
+import numpy as np
 import pytest
+from helpers import wk_walk_all_starts
 
-from radiuskit import debruijn
+from radiuskit import binseq, debruijn
 from radiuskit.binseq import (CyclicBitString, characteristic,
                               construct_low_bad, count_bad_pairs,
                               parse_bitstrings, serialize_bitstrings,
                               wk_brute, wk_exact, wk_walk)
 from radiuskit.errors import (InputError, InvalidParameterError, ParseError,
-                              UnsupportedLengthError)
+                              UnsupportedLengthError, VerificationError)
 
 
 def naive_pair_count(symbols, k, mode):
@@ -98,11 +101,70 @@ def test_wk_methods_agree():
         assert wk_brute(2, s, alphabet=3) == wk_walk(2, s, alphabet=3)
 
 
+def walk_oracle_cases():
+    """(k, s, t) over the truncated range k+1 <= s <= 2k and both parities
+    of s past it: s up to 3k+3 for binary k <= 6, up to 2k+2 elsewhere, so
+    the all-starts oracle stays under half a second."""
+    grid = [(2, k) for k in range(1, 9)] + [(3, k) for k in range(1, 5)]
+    grid += [(t, k) for t in (4, 5) for k in range(1, 4)]
+    return [(k, s, t) for t, k in grid for s in
+            range(k + 1, 3 * k + 4 if t == 2 and k <= 6 else 2 * k + 3)]
+
+
+def test_wk_walk_matches_all_starts():
+    for k, s, t in walk_oracle_cases():
+        assert wk_walk(k, s, alphabet=t) == wk_walk_all_starts(k, s, t), \
+            (k, s, t)
+
+
+def test_wk_walk_start_set_covers_every_string():
+    """Under some symbol permutation, every cyclic string of length s has a
+    k-window in {0^k} plus the windows beginning 0, 1."""
+    for t, max_k in ((2, 4), (3, 3)):
+        for k in range(1, max_k + 1):
+            start_set = [(0,) * k]
+            if k >= 2:
+                start_set += [(0, 1) + rest for rest in
+                              itertools.product(range(t), repeat=k - 2)]
+            orbit = [sum(perm[x] * t ** (k - 1 - j)
+                         for j, x in enumerate(word))
+                     for perm in itertools.permutations(range(t))
+                     for word in start_set]
+            for s in range(k + 1, 10):
+                strings = np.array(list(itertools.product(range(t),
+                                                          repeat=s)))
+                covered = np.zeros(len(strings), dtype=bool)
+                for i in range(s):
+                    codes = sum(strings[:, (i + j) % s] * t ** (k - 1 - j)
+                                for j in range(k))
+                    covered |= np.isin(codes, orbit)
+                assert covered.all(), (k, s, t)
+
+
+def test_wk_walk_pinned_values():
+    """The walk-dp benchmark's golden values at its largest sizes."""
+    assert wk_walk(9, 52) == 180
+    assert wk_walk(10, 20) == 90
+    assert wk_walk(10, 30) == 116
+
+
+def test_wk_walk_rejects_odd_total(monkeypatch):
+    true_tables = binseq._truncated_weight_tables
+    monkeypatch.setattr(binseq, "_truncated_weight_tables",
+                        lambda k, s, t: true_tables(k, s, t) + 1)
+    with pytest.raises(VerificationError, match="odd"):
+        wk_walk(2, 5)
+
+
 def test_wk_domain_errors():
     with pytest.raises(InvalidParameterError):
         wk_walk(3, 3)  # s < k+1
     with pytest.raises(InvalidParameterError):
         wk_exact(0, 5)
+    for alphabet in (1, 0, -2):
+        for method in (wk_brute, wk_walk, wk_exact):
+            with pytest.raises(InvalidParameterError, match=">= 2"):
+                method(2, 5, alphabet)
 
 
 def test_wk_tary_nonnegative_totals():

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from radiuskit import debruijn
+from radiuskit import binseq, debruijn
 from radiuskit.cli import main
+from radiuskit.errors import VerificationError
 from radiuskit.graphs import complete, complete_bipartite, parse_graph, \
     serialize_graph
 from radiuskit.radius import parse_vertex_sequence, verify_radius
@@ -245,3 +246,25 @@ def test_conjecture(capsys):
 def test_construct_euler_requires_graph(capsys):
     code, _, err = run(capsys, ["construct", "euler1"])
     assert code == 2 and "graph" in err
+
+
+def test_wk_rejects_small_alphabets(capsys):
+    for alphabet in ("1", "0", "-2"):
+        for method in ("brute", "walk", "auto"):
+            code, out, err = run(capsys, ["wk", "--k", "2", "--s", "5",
+                                          "--alphabet", alphabet,
+                                          "--method", method])
+            assert code == 2 and out == ""
+            assert "alphabet size must be >= 2" in err
+            assert "Traceback" not in err
+
+
+def test_wk_cross_check_failure_exit(capsys, monkeypatch):
+    true_walk = binseq.wk_walk
+    monkeypatch.setattr(binseq, "wk_walk",
+                        lambda k, s, alphabet=2: true_walk(k, s, alphabet) + 1)
+    with pytest.raises(VerificationError, match="disagree"):
+        binseq.wk_exact(2, 5)
+    code, out, err = run(capsys, ["wk", "--k", "2", "--s", "5"])
+    assert code == 4 and out == ""
+    assert err.startswith("internal error: result failed verification")
