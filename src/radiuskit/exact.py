@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BudgetError, InvalidParameterError
+from .errors import BudgetError, InvalidParameterError, VerificationError
 from .radius import (CYCLIC, LINEAR, CoverSequence, VertexSequence,
                      bounds, verify_cover, verify_radius)
 
@@ -132,7 +132,7 @@ def exact_fk(g, k, mode=LINEAR, budget=None):
     budget = budget or SearchBudget()
     report = bounds(g, k)
     edge_ids = {e: i for i, e in enumerate(sorted(
-        (tuple(sorted(e)) for e in g.edge_set())))}
+        tuple(sorted(e)) for e in g.edges))}
     edge_bit = {frozenset(e): 1 << i for e, i in edge_ids.items()}
     full_mask = (1 << len(edge_ids)) - 1
     active = sum(1 for v in g.vertices if g.degree(v) > 0)
@@ -196,7 +196,9 @@ def exact_fk(g, k, mode=LINEAR, budget=None):
                 if witness:
                     seq = VertexSequence(g, tuple(witness), mode=mode)
                     check = verify_radius(seq, k)
-                    assert check.valid, "witness failed verification"
+                    if not check.valid:
+                        raise VerificationError(
+                            f"exact_fk witness missed {check.uncovered}")
                     return ExactResult(OPTIMAL, length, seq, length, length)
             length += 1
         raise _Exhausted("max_length")
@@ -253,7 +255,9 @@ def exact_ck(g, k, budget=None):
                 sets.reverse()
                 cov = CoverSequence(g, k, tuple(sets))
                 check = verify_cover(cov)
-                assert check.valid
+                if not check.valid:
+                    raise VerificationError(
+                        f"exact_ck witness missed {check.uncovered}")
                 return ExactResult(OPTIMAL, check.reads, cov,
                                    check.reads, check.reads)
             if glen + 1 > budget.max_length:

@@ -6,7 +6,6 @@ and preserve vertex/edge insertion order, which keeps serialization and all
 downstream tie-breaks deterministic.
 """
 
-import math
 from typing import NamedTuple
 
 from .errors import InputError, InvalidParameterError, ParseError
@@ -15,35 +14,26 @@ from .errors import InputError, InvalidParameterError, ParseError
 class Graph:
     """An undirected graph without self-loops or multi-edges."""
 
-    __slots__ = ("_vertices", "_vset", "_edges", "_eset", "_adj")
+    __slots__ = ("_vertices", "_edges", "_adj")
 
     def __init__(self, vertices=(), edges=()):
-        order = dict.fromkeys(str(v) for v in vertices)
+        adj = {str(v): set() for v in vertices}
         edge_list = []
-        eset = set()
-        adj = {v: [] for v in order}
         for u, v in edges:
             u, v = str(u), str(v)
             if u == v:
                 raise InputError(f"self-loop at {u!r}")
-            key = frozenset((u, v))
-            if key in eset:
+            nu = adj.setdefault(u, set())
+            if v in nu:
                 raise InputError(f"duplicate edge {u!r} {v!r}")
-            for w in (u, v):
-                if w not in order:
-                    order[w] = None
-                    adj[w] = []
-            eset.add(key)
+            nu.add(v)
+            adj.setdefault(v, set()).add(u)
             edge_list.append((u, v))
-            adj[u].append(v)
-            adj[v].append(u)
-        for v in order:
+        for v in adj:
             if not v or any(ch.isspace() for ch in v):
                 raise InputError(f"label {v!r} must be a non-whitespace token")
-        self._vertices = tuple(order)
-        self._vset = frozenset(order)
+        self._vertices = tuple(adj)
         self._edges = tuple(edge_list)
-        self._eset = frozenset(eset)
         self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
 
     @property
@@ -63,16 +53,17 @@ class Graph:
         return len(self._edges)
 
     def has_vertex(self, v):
-        return v in self._vset
+        return v in self._adj
 
     def has_edge(self, u, v):
-        return frozenset((u, v)) in self._eset
+        return v in self._adj.get(u, ())
 
     def edge_set(self):
-        return self._eset
+        """The edges as a frozenset of 2-element frozensets, built per call."""
+        return frozenset(map(frozenset, self._edges))
 
     def neighbors(self, v):
-        if v not in self._vset:
+        if v not in self._adj:
             raise InputError(f"unknown vertex {v!r}")
         return self._adj[v]
 
@@ -115,10 +106,11 @@ class Graph:
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._vset == other._vset and self._eset == other._eset
+        return (self._adj.keys() == other._adj.keys()
+                and self.edge_set() == other.edge_set())
 
     def __hash__(self):
-        return hash((self._vset, self._eset))
+        return hash((frozenset(self._vertices), self.edge_set()))
 
     def __repr__(self):
         return (f"Graph({self.num_vertices} vertices, "
@@ -187,8 +179,10 @@ def edge_label(u, v):
 def line_graph(g):
     """Graph on g's edges, adjacent when the edges share an endpoint.
 
-    Vertex labels are `edge_label` of each edge.  A vertex label containing
-    '|' raises InputError, since two edges could then share a label.
+    Vertex labels are `edge_label` of each edge, in g's edge order, and
+    edges come in (earlier, later) edge-index order, in O(sum of deg^2).  A
+    vertex label containing '|' raises InputError, since two edges could
+    then share a label.
     """
     if g.num_edges < 1:
         raise InvalidParameterError("line graph needs at least one edge")
@@ -197,20 +191,17 @@ def line_graph(g):
             raise InputError(
                 f"label {v!r} contains '|', which separates the endpoints "
                 f"of line-graph labels")
-    label = {frozenset(e): edge_label(*e) for e in g.edges}
-    vs = [label[frozenset(e)] for e in g.edges]
+    incident = {v: [] for v in g.vertices}
+    for i, (u, v) in enumerate(g.edges):
+        incident[u].append(i)
+        incident[v].append(i)
+    labels = [edge_label(u, v) for u, v in g.edges]
     edges = []
-    seen = set()
-    for i, (u1, v1) in enumerate(g.edges):
-        e1 = frozenset((u1, v1))
-        for j in range(i + 1, g.num_edges):
-            e2 = frozenset(g.edges[j])
-            if e1 & e2:
-                key = frozenset((label[e1], label[e2]))
-                if key not in seen:
-                    seen.add(key)
-                    edges.append((label[e1], label[e2]))
-    return Graph(vs, edges)
+    for i, (u, v) in enumerate(g.edges):
+        # distinct edges share at most one endpoint, so no j is found twice
+        later = sorted(j for w in (u, v) for j in incident[w] if j > i)
+        edges.extend((labels[i], labels[j]) for j in later)
+    return Graph(labels, edges)
 
 
 def pendant_label(v, j):
@@ -236,25 +227,23 @@ def attach_pendants(g, count):
 
 def parse_graph(text):
     """Parse the edge-list format: one 'u v' per line, # comments."""
-    edges = []
-    seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise ParseError(
-                f"expected two labels, got {len(tokens)}", line=lineno)
-        u, v = tokens
-        if u == v:
-            raise ParseError(f"self-loop at {u!r}", line=lineno)
-        key = frozenset((u, v))
-        if key in seen:
-            raise ParseError(f"duplicate edge {u!r} {v!r}", line=lineno)
-        seen.add(key)
-        edges.append((u, v))
-    return Graph((), edges)
+    lineno = 0
+
+    def edges():
+        nonlocal lineno
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            tokens = raw.split("#", 1)[0].split()
+            if not tokens:
+                continue
+            if len(tokens) != 2:
+                raise ParseError(
+                    f"expected two labels, got {len(tokens)}", line=lineno)
+            yield tokens
+
+    try:
+        return Graph((), edges())
+    except InputError as exc:
+        raise ParseError(str(exc), line=lineno) from None
 
 
 def serialize_graph(g):
@@ -308,7 +297,3 @@ def hamiltonian_path(g):
                 used.remove(pathlist.pop())
     return None
 
-
-def line_graph_edge_count(g):
-    """Independent count: sum over vertices of C(deg, 2)."""
-    return sum(math.comb(g.degree(v), 2) for v in g.vertices)

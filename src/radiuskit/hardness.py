@@ -11,7 +11,8 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import InputError, InvalidParameterError, WitnessError
+from .errors import (InputError, InvalidParameterError, VerificationError,
+                     WitnessError)
 from .graphs import (Graph, attach_pendants, edge_label, hamiltonian_path,
                      line_graph, pendant_label)
 from .radius import (CoverSequence, VertexSequence, check_cover_structure,
@@ -65,10 +66,10 @@ def reduce_hampath_to_radius(f, k):
     target = line_graph(attach_pendants(f, k - 2))
     n = f.num_vertices
     expected_edges = (k + 1) * k * n // 2
-    assert target.num_edges == expected_edges, \
-        f"gadget edge count {target.num_edges} != {expected_edges}"
     threshold = 2 * target.num_edges // (k + 1) + 1
-    assert threshold == k * n + 1
+    if target.num_edges != expected_edges or threshold != k * n + 1:
+        raise VerificationError(f"gadget has {target.num_edges} edges, "
+                                f"expected {expected_edges}")
     return RadiusReductionInstance(source=f, k=k, target=target,
                                    threshold=threshold)
 
@@ -118,10 +119,11 @@ def hampath_witness_to_sequence(inst, path_vertices):
             items.append(edge_label(*path_edges[i]))
         else:
             items.append(edge_label(*en))
-    assert len(items) == inst.threshold
     seq = VertexSequence(inst.target, tuple(items))
     check = verify_radius(seq, k)
-    assert check.valid, f"transformed witness missed {check.uncovered}"
+    if len(items) != inst.threshold or not check.valid:
+        raise VerificationError(f"transformed witness of length {len(items)} "
+                                f"missed {check.uncovered}")
     return seq
 
 
@@ -161,8 +163,9 @@ def reduce_cover1_to_coverk(h, k):
             edges.extend((x, y) for y in fans)
     target = Graph(vertices, edges)
     expected = m * (math.comb(k, 2) + fan * k)
-    assert target.num_edges == expected, \
-        f"gadget edge count {target.num_edges} != {expected}"
+    if target.num_edges != expected:
+        raise VerificationError(
+            f"gadget edge count {target.num_edges} != {expected}")
     return CoverReductionInstance(source=h, k=k, fan_size=fan, target=target,
                                   target_length=m * fan + (m - 1) * (k - 1))
 
@@ -237,10 +240,11 @@ def cover1_witness_to_coverk(inst, one_cover):
                 current.remove(clique[j])
                 current.add(new_clique[j])
                 sets.append(frozenset(current))
-    assert len(sets) == inst.target_length
     cov = CoverSequence(inst.target, k, tuple(sets))
     check = verify_cover(cov)
-    assert check.valid, f"transformed witness missed {check.uncovered}"
+    if len(sets) != inst.target_length or not check.valid:
+        raise VerificationError(f"transformed witness of length {len(sets)} "
+                                f"missed {check.uncovered}")
     return cov
 
 

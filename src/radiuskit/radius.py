@@ -19,7 +19,7 @@ import numpy as np
 from . import binseq, debruijn
 from .binseq import CYCLIC, LINEAR
 from .errors import (BudgetError, InputError, InvalidParameterError,
-                     ParseError, StructureError)
+                     ParseError, StructureError, VerificationError)
 from .graphs import Graph, complete, complete_bipartite
 
 
@@ -166,20 +166,15 @@ class BoundsReport:
     fk_lower: int
 
 
-def bounds(g, k, bipartition=None,
-           max_vertices=debruijn.DEFAULT_MAX_VERTICES):
+def bounds(g, k, max_vertices=debruijn.DEFAULT_MAX_VERTICES):
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
     e = g.num_edges
     edge_bound = None
     if g.non_isolated_count() > k + 1:
         edge_bound = Fraction(e, k) + Fraction(k + 1, 2)
-    sides = bipartition if bipartition is not None else g.bipartition()
     bipartite_bound = None
-    if sides is not None and e > 0:
-        for u, v in g.edges:
-            if sides.get(u) is None or sides.get(u) == sides.get(v):
-                raise InputError(f"bipartition does not split edge {u!r} {v!r}")
+    if e > 0 and g.bipartition() is not None:
         try:
             a = debruijn.ak(k, max_vertices=max_vertices)
             bipartite_bound = Fraction(e) / (k - a)
@@ -247,7 +242,8 @@ def euler_radius1(g):
 
     verts = [v for v, _ in circuit]
     in_edge = [e for _, e in circuit]
-    assert verts[0] == verts[-1] and len(verts) == len(kinds) + 1
+    if verts[0] != verts[-1] or len(verts) != len(kinds) + 1:
+        raise VerificationError("euler circuit is not closed over every edge")
 
     cut = None
     for i in range(1, len(verts)):
@@ -261,7 +257,8 @@ def euler_radius1(g):
         items = verts[cut:-1] + verts[:cut]
     seq = VertexSequence(g, tuple(items), mode=LINEAR)
     check = verify_radius(seq, 1)
-    assert check.valid, f"euler construction missed {check.uncovered}"
+    if not check.valid:
+        raise VerificationError(f"euler construction missed {check.uncovered}")
     return seq
 
 
@@ -317,6 +314,10 @@ def construct_bipartite(m, n, k, epsilon_hint=0.5, seed=0,
         raise InvalidParameterError(f"k must be >= 1, got {k}")
     if m < 0 or n < 0:
         raise InvalidParameterError("m and n must be nonnegative")
+    eps = float(epsilon_hint)
+    if not 0 < eps < math.inf:
+        raise InvalidParameterError(
+            f"epsilon must be finite and > 0, got {epsilon_hint}")
     if m == 0 or n == 0:
         vs = [f"x{i}" for i in range(1, m + 1)] + \
              [f"y{j}" for j in range(1, n + 1)]
@@ -330,10 +331,10 @@ def construct_bipartite(m, n, k, epsilon_hint=0.5, seed=0,
     a = opt.normalized
     lower = Fraction(m * n) / (k - a)
 
-    eps = float(epsilon_hint) if epsilon_hint and epsilon_hint > 0 else 0.5
-    q = math.ceil((1 + eps) / eps * (k * (k + 1)) /
-                  (opt.length * float(k - a)))
-    q = min(q, (2 * min(m, n)) // opt.length)
+    # capped before rounding up: a tiny epsilon overflows the ratio to inf
+    q = math.ceil(min((1 + eps) / eps * (k * (k + 1)) /
+                      (opt.length * float(k - a)),
+                      (2 * min(m, n)) // opt.length))
     block = None
     if q >= 1:
         zeros = opt.symbols.count(0)
@@ -411,7 +412,9 @@ def construct_bipartite(m, n, k, epsilon_hint=0.5, seed=0,
 
     seq = VertexSequence(g, tuple(g.vertices[v] for v in items), mode=LINEAR)
     check = verify_radius(seq, k)
-    assert check.valid, f"bipartite construction missed {check.uncovered}"
+    if not check.valid:
+        raise VerificationError(
+            f"bipartite construction missed {check.uncovered}")
     ratio = len(items) / float(lower) if lower else 0.0
     return BipartiteConstruction(seq, len(items), lower, ratio, block,
                                  blocks_used)
@@ -472,7 +475,8 @@ def cover_strategy_bipartite(m, n, k):
             last_y = ys[n - 1]
     cov = CoverSequence(g, k, tuple(sets))
     check = verify_cover(cov)
-    assert check.valid, f"cover strategy missed {check.uncovered}"
+    if not check.valid:
+        raise VerificationError(f"cover strategy missed {check.uncovered}")
     return cov
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 
 from radiuskit import binseq, debruijn
-from radiuskit.graphs import Graph
+from radiuskit.graphs import Graph, edge_label
 from radiuskit.radius import CoverSequence
 
 
@@ -21,22 +21,23 @@ def random_valid_cover(g, k, rng):
     vertices = list(g.vertices)
     current = set(rng.sample(vertices, k + 1))
     sets = [frozenset(current)]
-    covered = {e for e in g.edge_set() if e <= current}
+    edges = g.edge_set()
+    covered = {e for e in edges if e <= current}
 
     def swap_in(v):
         out = rng.choice(sorted(current - {v}))
         current.remove(out)
         current.add(v)
         sets.append(frozenset(current))
-        covered.update(e for e in g.edge_set() if e <= current)
+        covered.update(e for e in edges if e <= current)
 
     for _ in range(rng.randrange(0, 8)):  # wander a bit first
         outside = [v for v in vertices if v not in current]
         if not outside:
             break
         swap_in(rng.choice(outside))
-    while covered != g.edge_set():
-        u, v = tuple(sorted(next(iter(g.edge_set() - covered))))
+    while covered != edges:
+        u, v = tuple(sorted(next(iter(edges - covered))))
         if u not in current:
             keep = current - {v} if v in current else current
             out = rng.choice(sorted(keep))
@@ -48,7 +49,7 @@ def random_valid_cover(g, k, rng):
             current.remove(out)
             current.add(v)
             sets.append(frozenset(current))
-        covered.update(e for e in g.edge_set() if e <= current)
+        covered.update(e for e in edges if e <= current)
     return CoverSequence(g, k, tuple(sets))
 
 
@@ -144,3 +145,26 @@ def hamiltonian_path_reference(g):
                 stack.pop()
                 used.remove(pathlist.pop())
     return None
+
+
+def line_graph_reference(g):
+    """Line graph by comparing every pair of edges, O(E^2).
+
+    `graphs.line_graph` as it was before it used incidence lists; the
+    incidence-list version must return the same vertices and edges in the
+    same order.
+    """
+    label = {frozenset(e): edge_label(*e) for e in g.edges}
+    vs = [label[frozenset(e)] for e in g.edges]
+    edges = []
+    seen = set()
+    for i, (u1, v1) in enumerate(g.edges):
+        e1 = frozenset((u1, v1))
+        for j in range(i + 1, g.num_edges):
+            e2 = frozenset(g.edges[j])
+            if e1 & e2:
+                key = frozenset((label[e1], label[e2]))
+                if key not in seen:
+                    seen.add(key)
+                    edges.append((label[e1], label[e2]))
+    return Graph(vs, edges)

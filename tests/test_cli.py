@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from radiuskit import binseq, debruijn
+from radiuskit import binseq, debruijn, radius
 from radiuskit.cli import main
 from radiuskit.errors import VerificationError
 from radiuskit.graphs import complete, complete_bipartite, parse_graph, \
@@ -81,6 +81,25 @@ def test_usage_errors(capsys, tmp_path, k4_file):
                                       "--graph", k4_file,
                                       "--time-limit", limit])
         assert code == 2 and out == "" and "positive" in err
+
+
+def test_construct_bipartite_rejects_bad_epsilon(capsys):
+    for eps in ("inf", "0", "-1", "nan"):
+        code, out, err = run(capsys, ["construct", "bipartite", "--k", "2",
+                                      "--m", "4", "--n", "4",
+                                      "--epsilon", eps])
+        assert code == 2 and out == ""
+        assert "epsilon must be finite and > 0" in err
+        assert "Traceback" not in err
+
+
+def test_construction_self_check_failure_exit(capsys, monkeypatch):
+    monkeypatch.setattr(radius, "verify_radius", lambda seq, k:
+                        radius.RadiusCheck(False, (("x1", "y1"),)))
+    code, out, err = run(capsys, ["construct", "bipartite", "--k", "2",
+                                  "--m", "4", "--n", "4"])
+    assert code == 4 and out == ""
+    assert "bipartite construction missed" in err
 
 
 def test_budget_exit(capsys):

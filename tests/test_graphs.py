@@ -4,14 +4,14 @@ import math
 import random
 
 import pytest
-from helpers import hamiltonian_path_reference
+from helpers import (hamiltonian_path_reference, line_graph_reference,
+                     random_graph)
 
 from radiuskit.errors import InputError, InvalidParameterError, ParseError
 from radiuskit.graphs import (Graph, attach_pendants, circulant, complete,
                               complete_bipartite, cycle, edge_label,
-                              hamiltonian_path, line_graph,
-                              line_graph_edge_count, parse_graph, path,
-                              serialize_graph)
+                              hamiltonian_path, line_graph, parse_graph,
+                              path, serialize_graph)
 
 
 def test_generators():
@@ -85,9 +85,22 @@ def test_line_graph_handshake():
         if not edges:
             continue
         g = Graph(labels, edges)
-        assert line_graph(g).num_edges == line_graph_edge_count(g)
         assert line_graph(g).num_edges == sum(
             math.comb(g.degree(v), 2) for v in g.vertices)
+
+
+def test_line_graph_matches_pairwise_reference():
+    rng = random.Random(11)
+    graphs = [random_graph(rng, rng.randint(2, 12), rng.random())
+              for _ in range(60)]
+    graphs += [path(1500), complete_bipartite(6, 7), complete(9),
+               attach_pendants(complete_bipartite(3, 3), 2)]
+    for g in graphs:
+        if g is None:
+            continue
+        lg, ref = line_graph(g), line_graph_reference(g)
+        assert lg.vertices == ref.vertices
+        assert lg.edges == ref.edges
 
 
 def test_attach_pendants():
