@@ -29,6 +29,10 @@ _CROSS_CHECK_LIMIT = 1 << 16
 # binary k = 10, blocks of 2^14 to 2^15 entries ran fastest; 2^16 and up
 # ran slower.
 _WALK_BLOCK = 1 << 14
+# Work cap for the walk DP, in entries updated (see `_walk_work`).  Binary
+# k = 10 may run to s = 1927, about as long as enumerating BRUTE_LIMIT
+# strings (2.5 s on a 2-core Xeon); binary k = 14 is out of reach.
+WALK_LIMIT = 1 << 29
 
 
 @dataclass(frozen=True)
@@ -198,6 +202,18 @@ def _truncated_weight_tables(k, s, t):
     return doubled
 
 
+def _walk_work(k, s, t):
+    """Entries the walk DP updates: s steps of each block of starts.
+
+    A block counts as at least _WALK_BLOCK entries, because a step's fixed
+    cost dominates small blocks (binary k = 2 ran 7 us per step).
+    """
+    size = t ** k
+    starts = t ** (k - 2) + 1 if k >= 2 else 1
+    rows = max(1, _WALK_BLOCK // size)
+    return s * -(-starts // rows) * max(size, _WALK_BLOCK)
+
+
 def wk_walk(k, s, alphabet=2, max_vertices=debruijn.DEFAULT_MAX_VERTICES):
     """w_k(s) as the minimum-weight closed walk of length s.
 
@@ -227,6 +243,11 @@ def wk_walk(k, s, alphabet=2, max_vertices=debruijn.DEFAULT_MAX_VERTICES):
     if size > max_vertices:
         raise BudgetError(
             f"walk DP needs {size} vertices, over the budget of {max_vertices}")
+    work = _walk_work(k, s, t)
+    if work > WALK_LIMIT:
+        raise BudgetError(
+            f"walk DP for s = {s} updates {work} entries, over the "
+            f"{WALK_LIMIT} cap")
     weights = _truncated_weight_tables(k, s, t)
     idx = debruijn._pred_indices(k, t)
     starts = np.zeros(1, dtype=np.int64)
@@ -267,7 +288,9 @@ def wk_exact(k, s, alphabet=2, method="auto"):
     if method != "auto":
         raise InvalidParameterError(f"unknown method {method!r}")
 
-    walk_applies = s >= k + 1 and alphabet ** k <= debruijn.DEFAULT_MAX_VERTICES
+    walk_applies = (s >= k + 1
+                    and alphabet ** k <= debruijn.DEFAULT_MAX_VERTICES
+                    and _walk_work(k, s, alphabet) <= WALK_LIMIT)
     brute_applies = alphabet ** s <= BRUTE_LIMIT
     if not walk_applies and not brute_applies:
         raise BudgetError(

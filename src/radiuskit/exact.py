@@ -9,7 +9,8 @@ import heapq
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import or_
 from typing import Optional
 
 import numpy as np
@@ -40,6 +41,9 @@ class ExactResult:
     witness: Optional[object]
     lower: int  # proven lower bound (== optimum when optimal)
     upper: Optional[int]  # best incumbent, if any
+    nodes: int = field(default=0, compare=False)  # steps, orbit search too
+    # None when optimal, else "node limit", "time limit" or "max_length"
+    stop: Optional[str] = field(default=None, compare=False)
 
     @property
     def is_optimal(self):
@@ -66,23 +70,26 @@ class _SearchState:
             raise _Exhausted("time limit")
 
 
-def _automorphism_orbits(g, cap=8):
-    """Vertex orbits under the full automorphism group, for tiny graphs.
+def _automorphism_orbits(g, state):
+    """Vertex orbits under the full automorphism group, as label tuples.
 
-    Restricting the first sequence element to one representative per orbit
-    only prunes isomorphic branches.  Above `cap` vertices the trivial
-    partition is returned (no pruning).
+    Orbits come in the order of their first member in `g.vertices`, and
+    list their members in that order.  For each vertex v that no earlier
+    vertex reaches, and each later vertex u of v's degree not yet known to
+    share or to miss v's orbit, a backtracking search looks for an
+    automorphism taking v to u; each one found merges the orbits along its
+    cycles.  The search maps the vertices one at a time in breadth-first
+    order from v, each to an unused vertex of equal degree whose adjacency
+    to the vertices already mapped matches; a vertex with a mapped
+    neighbour only tries the neighbours of that neighbour's image.  Every
+    step ticks `state`, so the run's node and time budgets bound it.
     """
     vs = g.vertices
     n = len(vs)
-    if n > cap:
-        return [(v,) for v in vs]
-    idx = {v: i for i, v in enumerate(vs)}
-    adj = [[False] * n for _ in range(n)]
-    for u, v in g.edges:
-        adj[idx[u]][idx[v]] = adj[idx[v]][idx[u]] = True
-    degs = [g.degree(v) for v in vs]
-    parent = list(range(n))
+    index = {v: i for i, v in enumerate(vs)}
+    nbrs = [[index[w] for w in g.neighbors(v)] for v in vs]
+    deg = [len(a) for a in nbrs]
+    parent = list(range(n))  # union-find; a root is its orbit's least vertex
 
     def find(i):
         while parent[i] != i:
@@ -90,31 +97,91 @@ def _automorphism_orbits(g, cap=8):
             i = parent[i]
         return i
 
-    for perm in itertools.permutations(range(n)):
-        if any(degs[perm[i]] != degs[i] for i in range(n)):
+    def bfs_order(start):
+        seen = [False] * n
+        order = []
+        for root in [start, *range(n)]:
+            if seen[root]:
+                continue
+            seen[root] = True
+            order.append(root)
+            head = len(order) - 1
+            while head < len(order):
+                for w in nbrs[order[head]]:
+                    if not seen[w]:
+                        seen[w] = True
+                        order.append(w)
+                head += 1
+        return order
+
+    def automorphism(order, u):
+        """An automorphism taking order[0] to u, as an image list, or None."""
+        pos = [0] * n
+        for p, x in enumerate(order):
+            pos[x] = p
+        # back[p]: the positions before p adjacent to order[p], as bits
+        back = [sum(1 << pos[w] for w in nbrs[x] if pos[w] < p)
+                for p, x in enumerate(order)]
+        image = [-1] * n  # by position
+        mark = [0] * n  # mark[c]: the positions whose image neighbours c
+        used = [False] * n
+
+        def candidates(p):
+            if p == 0:
+                pool = (u,)
+            elif back[p]:
+                anchor = (back[p] & -back[p]).bit_length() - 1
+                pool = nbrs[image[anchor]]
+            else:
+                pool = range(n)
+            d = deg[order[p]]
+            return iter([c for c in pool if not used[c] and deg[c] == d
+                         and mark[c] == back[p]])
+
+        stack = [candidates(0)]
+        while stack:
+            state.tick()
+            p = len(stack) - 1
+            c = image[p]
+            if c >= 0:  # undo the previous choice at p
+                used[c] = False
+                for w in nbrs[c]:
+                    mark[w] ^= 1 << p
+                image[p] = -1
+            c = next(stack[-1], None)
+            if c is None:
+                stack.pop()
+                continue
+            image[p] = c
+            used[c] = True
+            for w in nbrs[c]:
+                mark[w] |= 1 << p
+            if p + 1 == n:
+                return [image[pos[i]] for i in range(n)]
+            stack.append(candidates(p + 1))
+        return None
+
+    for v in range(n):
+        if find(v) != v:
             continue
-        if all(adj[perm[i]][perm[j]] == adj[i][j]
-               for i in range(n) for j in range(i + 1, n)):
-            for i in range(n):
-                a, b = find(i), find(perm[i])
-                if a != b:
-                    parent[b] = a
+        order = bfs_order(v)
+        missed = []
+        for u in range(v + 1, n):
+            if deg[u] != deg[v] or find(u) == v:
+                continue
+            if any(find(w) == find(u) for w in missed):
+                continue
+            image = automorphism(order, u)
+            if image is None:
+                missed.append(u)
+                continue
+            for i, j in enumerate(image):
+                a, b = find(i), find(j)
+                parent[max(a, b)] = min(a, b)
     orbits = {}
     for i in range(n):
         orbits.setdefault(find(i), []).append(vs[i])
     return [tuple(members) for members in orbits.values()]
-
-
-def _cyclic_wrap_pairs(items, k):
-    """Pairs covered across the wrap of a completed cyclic sequence."""
-    s = len(items)
-    pairs = set()
-    for d in range(1, min(k, s - 1) + 1):
-        for i in range(d):
-            u, v = items[i], items[s - d + i]
-            if u != v:
-                pairs.add(frozenset((u, v)))
-    return pairs
 
 
 def exact_fk(g, k, mode=LINEAR, budget=None):
@@ -124,6 +191,19 @@ def exact_fk(g, k, mode=LINEAR, budget=None):
     with the counting prune (each remaining slot covers at most k new
     pairs, plus at most k(k+1)/2 wrap pairs in cyclic mode) and a
     memory-capped table of suffix states known to fail.
+
+    The search runs on the indices of the non-isolated vertices in
+    `g.vertices` order, with the covered edges as an int bitmask (bit i is
+    the i-th edge in sorted order) and memo keys of int tuples.  It tries
+    the vertices in index order and returns the first witness it reaches.
+    In linear mode the memo only drops states that cannot complete (a
+    shorter completion pads to a longer one by repeating its last vertex),
+    so that is the lexicographically first witness of the optimal length.
+    The first element is only tried at the least vertex of each
+    automorphism orbit, which keeps that witness: if a witness starts with
+    v and a smaller u lies in v's orbit, the automorphism taking v to u
+    maps it to a witness of the same length that starts with u, so it was
+    not the first.
     """
     if g.num_edges < 1:
         raise InvalidParameterError("need at least one edge")
@@ -131,54 +211,52 @@ def exact_fk(g, k, mode=LINEAR, budget=None):
         raise InvalidParameterError(f"unknown mode {mode!r}")
     budget = budget or SearchBudget()
     report = bounds(g, k)
-    edge_ids = {e: i for i, e in enumerate(sorted(
-        tuple(sorted(e)) for e in g.edges))}
-    edge_bit = {frozenset(e): 1 << i for e, i in edge_ids.items()}
-    full_mask = (1 << len(edge_ids)) - 1
-    active = sum(1 for v in g.vertices if g.degree(v) > 0)
+    cyclic = mode == CYCLIC
+    labels = [v for v in g.vertices if g.degree(v) > 0]
+    index = {v: i for i, v in enumerate(labels)}
+    vertices = range(len(labels))
+    pairbit = [[0] * len(labels) for _ in vertices]
+    for bit, (u, v) in enumerate(sorted(tuple(sorted(e)) for e in g.edges)):
+        i, j = index[u], index[v]
+        pairbit[i][j] = pairbit[j][i] = 1 << bit
+    no_pairs = [0] * len(labels)
+    num_edges = g.num_edges
+    full_mask = (1 << num_edges) - 1
 
-    lower = max(report.fk_lower, active, 1)
-    if mode == CYCLIC:
-        lower = max(math.ceil(g.num_edges / k), report.fk_lower - k, active, 1)
-    wrap_bonus = k * (k + 1) // 2 if mode == CYCLIC else 0
+    lower = max(report.fk_lower, len(labels), 1)
+    if cyclic:
+        lower = max(math.ceil(num_edges / k), report.fk_lower - k,
+                    len(labels), 1)
+    wrap_bonus = k * (k + 1) // 2 if cyclic else 0
 
-    first_choices = [members[0] for members in _automorphism_orbits(g)]
-    first_choices = [v for v in first_choices if g.degree(v) > 0]
-    vertices = [v for v in g.vertices if g.degree(v) > 0]
     state = _SearchState(budget)
+    tick = state.tick
     memo = {}
     MEMO_CAP = 1 << 18
 
-    def covered_bits(items, pos, v):
-        bits = 0
-        for back in range(1, min(k, pos) + 1):
-            w = items[pos - back]
-            if w != v:
-                bit = edge_bit.get(frozenset((v, w)))
-                if bit:
-                    bits |= bit
-        return bits
-
     def dfs(items, mask, length):
-        state.tick()
+        tick()
         pos = len(items)
         remaining = length - pos
-        uncovered = len(edge_ids) - bin(mask).count("1")
-        if uncovered > remaining * k + (wrap_bonus if mode == CYCLIC else 0):
+        if num_edges - mask.bit_count() > remaining * k + wrap_bonus:
             return None
         if pos == length:
-            if mode == CYCLIC:
-                for e in _cyclic_wrap_pairs(items, k):
-                    mask |= edge_bit.get(e, 0)
+            if cyclic:  # pairs across the wrap
+                for d in range(1, min(k, length - 1) + 1):
+                    for i in range(d):
+                        mask |= pairbit[items[i]][items[length - d + i]]
             return list(items) if mask == full_mask else None
-        key = (tuple(items[max(0, pos - k):pos]),
-               tuple(items[:k]) if mode == CYCLIC else None, mask)
+        last = tuple(items[-k:])
+        key = (last, tuple(items[:k]) if cyclic else None, mask)
         known = memo.get(key)
         if known is not None and known >= remaining:
             return None
+        fresh = no_pairs  # fresh[v]: the pairs v would cover next
+        for w in last:
+            fresh = list(map(or_, fresh, pairbit[w]))
         for v in vertices:
             items.append(v)
-            found = dfs(items, mask | covered_bits(items, pos, v), length)
+            found = dfs(items, mask | fresh[v], length)
             items.pop()
             if found:
                 return found
@@ -189,21 +267,27 @@ def exact_fk(g, k, mode=LINEAR, budget=None):
 
     length = lower
     try:
+        first_choices = [index[members[0]]
+                         for members in _automorphism_orbits(g, state)
+                         if members[0] in index]
         while length <= budget.max_length:
             memo.clear()
             for v in first_choices:
                 witness = dfs([v], 0, length)
                 if witness:
-                    seq = VertexSequence(g, tuple(witness), mode=mode)
+                    seq = VertexSequence(
+                        g, tuple(labels[i] for i in witness), mode=mode)
                     check = verify_radius(seq, k)
                     if not check.valid:
                         raise VerificationError(
                             f"exact_fk witness missed {check.uncovered}")
-                    return ExactResult(OPTIMAL, length, seq, length, length)
+                    return ExactResult(OPTIMAL, length, seq, length, length,
+                                       state.nodes)
             length += 1
         raise _Exhausted("max_length")
-    except _Exhausted:
-        return ExactResult(UNKNOWN, None, None, length, None)
+    except _Exhausted as exc:
+        return ExactResult(UNKNOWN, None, None, length, None, state.nodes,
+                           exc.args[0])
 
 
 def exact_ck(g, k, budget=None):
@@ -211,7 +295,15 @@ def exact_ck(g, k, budget=None):
 
     States are (current cache set, covered edges); the heuristic
     ceil(uncovered / k) is admissible since each swap creates at most k new
-    co-resident pairs.
+    co-resident pairs.  Both are int bitmasks: cache bit i is the i-th
+    vertex in sorted label order, the order states are generated and
+    pushed in, and covered bit i is the i-th edge of `g.edges`.
+
+    On a budget stop the interval is still proven.  Every cover of at most
+    max_length sets keeps an optimal path's frontier state on the heap, at
+    an f no larger than its length (f is admissible, and stale entries only
+    lower the least f), so the optimum is at least min(least f on the heap,
+    max_length + 1) + k reads, and at least the edge bound.
     """
     if g.num_vertices <= k + 1:
         raise InvalidParameterError(
@@ -220,21 +312,31 @@ def exact_ck(g, k, budget=None):
         raise InvalidParameterError("need at least one edge")
     budget = budget or SearchBudget()
     state = _SearchState(budget)
-    vertices = g.vertices
-    all_edges = g.edge_set()
-
-    def inside(cache):
-        return frozenset(e for e in all_edges if e <= cache)
+    labels = sorted(g.vertices)
+    index = {v: i for i, v in enumerate(labels)}
+    n = len(labels)
+    # incident[v]: (neighbour bit, edge bit) per edge at v
+    incident = [[] for _ in range(n)]
+    for bit, (u, v) in enumerate(g.edges):
+        i, j = index[u], index[v]
+        incident[i].append((1 << j, 1 << bit))
+        incident[j].append((1 << i, 1 << bit))
+    num_edges = g.num_edges
+    full_mask = (1 << num_edges) - 1
 
     heap = []
     best_g = {}
     parents = {}
     counter = itertools.count()
-    for combo in itertools.combinations(sorted(vertices), k + 1):
-        cache = frozenset(combo)
-        covered = inside(cache)
+    for combo in itertools.combinations(range(n), k + 1):
+        cache = sum(1 << i for i in combo)
+        covered = 0
+        for i in combo:
+            for wbit, ebit in incident[i]:
+                if cache & wbit:
+                    covered |= ebit
         key = (cache, covered)
-        h = math.ceil((len(all_edges) - len(covered)) / k)
+        h = -(-(num_edges - covered.bit_count()) // k)
         best_g[key] = 1
         parents[key] = None
         heapq.heappush(heap, (1 + h, 1, next(counter), key))
@@ -246,11 +348,12 @@ def exact_ck(g, k, budget=None):
             if glen > best_g.get(key, math.inf):
                 continue
             cache, covered = key
-            if len(covered) == len(all_edges):
+            if covered == full_mask:
                 sets = []
                 cur = key
                 while cur is not None:
-                    sets.append(cur[0])
+                    sets.append(frozenset(labels[i] for i in range(n)
+                                          if cur[0] >> i & 1))
                     cur = parents[cur]
                 sets.reverse()
                 cov = CoverSequence(g, k, tuple(sets))
@@ -259,30 +362,35 @@ def exact_ck(g, k, budget=None):
                     raise VerificationError(
                         f"exact_ck witness missed {check.uncovered}")
                 return ExactResult(OPTIMAL, check.reads, cov,
-                                   check.reads, check.reads)
+                                   check.reads, check.reads, state.nodes)
             if glen + 1 > budget.max_length:
                 continue
-            for out in sorted(cache):
-                rest = cache - {out}
-                for new in sorted(vertices):
-                    if new in cache:
+            ng = glen + 1
+            for out in range(n):
+                if not cache >> out & 1:
+                    continue
+                rest = cache ^ (1 << out)
+                for new in range(n):
+                    if cache >> new & 1:
                         continue
-                    nxt = rest | {new}
-                    ncov = covered | frozenset(
-                        e for e in all_edges
-                        if new in e and e <= nxt)
-                    nkey = (nxt, ncov)
-                    ng = glen + 1
+                    ncov = covered
+                    for wbit, ebit in incident[new]:
+                        if rest & wbit:
+                            ncov |= ebit
+                    nkey = (rest | 1 << new, ncov)
                     if ng < best_g.get(nkey, math.inf):
                         best_g[nkey] = ng
                         parents[nkey] = key
-                        h = math.ceil((len(all_edges) - len(ncov)) / k)
+                        h = -(-(num_edges - ncov.bit_count()) // k)
                         heapq.heappush(heap, (ng + h, ng, next(counter), nkey))
-        raise _Exhausted("search space exhausted without a cover")
-    except _Exhausted:
+        raise _Exhausted("max_length")
+    except _Exhausted as exc:
         edge_bound = bounds(g, k).edge_bound
         lo = math.ceil(edge_bound) if edge_bound is not None else k + 1
-        return ExactResult(UNKNOWN, None, None, lo, None)
+        frontier = heap[0][0] if heap else math.inf
+        lo = max(lo, min(frontier, budget.max_length + 1) + k)
+        return ExactResult(UNKNOWN, None, None, lo, None, state.nodes,
+                           exc.args[0])
 
 
 def exact_maxcut(g):

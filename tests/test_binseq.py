@@ -12,8 +12,9 @@ from radiuskit.binseq import (CyclicBitString, characteristic,
                               construct_low_bad, count_bad_pairs,
                               parse_bitstrings, serialize_bitstrings,
                               wk_brute, wk_exact, wk_walk)
-from radiuskit.errors import (InputError, InvalidParameterError, ParseError,
-                              UnsupportedLengthError, VerificationError)
+from radiuskit.errors import (BudgetError, InputError, InvalidParameterError,
+                              ParseError, UnsupportedLengthError,
+                              VerificationError)
 
 
 def naive_pair_count(symbols, k, mode):
@@ -146,6 +147,17 @@ def test_wk_walk_pinned_values():
     assert wk_walk(9, 52) == 180
     assert wk_walk(10, 20) == 90
     assert wk_walk(10, 30) == 116
+
+
+def test_wk_walk_work_budget():
+    assert binseq._walk_work(10, 30, 2) < 1 << 23  # the benchmark's largest
+    assert binseq._walk_work(2, 10 ** 5, 2) > binseq.WALK_LIMIT
+    with pytest.raises(BudgetError, match="cap"):
+        wk_walk(2, 10 ** 5)
+    with pytest.raises(BudgetError, match="cap"):
+        wk_walk(14, 20)
+    # auto falls back to enumeration when the walk is over its cap
+    assert wk_exact(14, 20) == wk_brute(14, 20)
 
 
 def test_wk_walk_rejects_odd_total(monkeypatch):

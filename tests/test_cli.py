@@ -185,6 +185,21 @@ def test_exact_budget_exit(capsys, tmp_path):
     assert code == 3
 
 
+def test_exact_fk_unknown_exit(capsys, tmp_path):
+    # K_{4,4} at k = 2 takes far more than 4096 nodes, the first time check
+    graph = tmp_path / "k44.edges"
+    graph.write_text(serialize_graph(complete_bipartite(4, 4)))
+    argv = ["exact", "fk", "--k", "2", "--graph", str(graph),
+            "--time-limit", "1e-9"]
+    code, out, err = run(capsys, argv)
+    assert code == 3 and err == ""
+    assert out == "f_2: unknown (proven >= 11)\n"
+    code, out, _ = run(capsys, [*argv, "--format", "json-lines"])
+    assert code == 3
+    assert json.loads(out) == {"op": "exact-fk", "k": 2, "status": "unknown",
+                               "lower": 11, "upper": None}
+
+
 def test_maxcut_circulant(capsys):
     code, out, _ = run(capsys, ["maxcut", "circulant", "--n", "8", "--k", "2",
                                 "--brute-check"])
@@ -276,6 +291,13 @@ def test_wk_rejects_small_alphabets(capsys):
             assert code == 2 and out == ""
             assert "alphabet size must be >= 2" in err
             assert "Traceback" not in err
+
+
+def test_wk_walk_work_budget_exit(capsys):
+    code, out, err = run(capsys, ["wk", "--k", "10", "--s", "1000000",
+                                  "--method", "walk"])
+    assert code == 3 and out == ""
+    assert "over the 536870912 cap" in err and "Traceback" not in err
 
 
 def test_wk_cross_check_failure_exit(capsys, monkeypatch):

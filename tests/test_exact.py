@@ -1,13 +1,21 @@
 """Tests for the exhaustive ground-truth solvers."""
 
+import random
+
 import pytest
 
+from helpers import (automorphism_orbits_reference, exact_ck_reference,
+                     exact_fk_reference, random_graph)
 from radiuskit.binseq import wk_exact
 from radiuskit.errors import BudgetError, InvalidParameterError
-from radiuskit.exact import (SearchBudget, exact_ck, exact_fk, exact_maxcut)
+from radiuskit.exact import (SearchBudget, _automorphism_orbits, _SearchState,
+                             exact_ck, exact_fk, exact_maxcut)
 from radiuskit.graphs import (Graph, circulant, complete, complete_bipartite,
-                              cycle, path)
-from radiuskit.radius import bounds, verify_cover, verify_radius
+                              cycle, line_graph, parse_graph, path,
+                              serialize_graph)
+from radiuskit.hardness import reduce_hampath_to_radius
+from radiuskit.radius import (bounds, serialize_cover_sequence, verify_cover,
+                              verify_radius)
 
 
 def test_exact_fk_examples():
@@ -117,3 +125,114 @@ def test_exact_fk_against_brute_force():
         mode = rng.choice(["linear", "cyclic"])
         assert exact_fk(g, k, mode=mode).optimum == brute_force_fk(g, k, mode)
         cases += 1
+
+
+def _oracle_graphs(seed, count):
+    rng = random.Random(seed)
+    while count:
+        g = random_graph(rng, rng.randint(3, 7), rng.choice([0.3, 0.5, 0.7]))
+        if g is not None:
+            count -= 1
+            yield g
+
+
+# Reference runs that need more nodes than this are skipped; the index
+# searches must agree with every reference run that finishes.
+ORACLE_BUDGET = SearchBudget(node_limit=2000)
+
+
+def test_exact_fk_matches_reference():
+    compared = 0
+    for g in _oracle_graphs(11, 20):
+        for k in (1, 2, 3):
+            for mode in ("linear", "cyclic"):
+                expected = exact_fk_reference(g, k, mode, ORACLE_BUDGET)
+                if not expected.is_optimal:
+                    continue
+                result = exact_fk(g, k, mode)
+                assert result == expected, (g.edges, k, mode)
+                assert result.witness.items == expected.witness.items
+                compared += 1
+    assert compared >= 80
+
+
+def test_exact_ck_matches_reference():
+    compared = 0
+    for g in _oracle_graphs(12, 20):
+        for k in (1, 2, 3):
+            if g.num_vertices <= k + 1:
+                continue
+            expected = exact_ck_reference(g, k, ORACLE_BUDGET)
+            if not expected.is_optimal:
+                continue
+            result = exact_ck(g, k)
+            assert result == expected, (g.edges, k)
+            assert (serialize_cover_sequence(result.witness)
+                    == serialize_cover_sequence(expected.witness))
+            compared += 1
+    assert compared >= 20
+
+
+def _orbits(g):
+    return _automorphism_orbits(g, _SearchState(SearchBudget()))
+
+
+def test_automorphism_orbits_match_reference():
+    graphs = list(_oracle_graphs(13, 40))
+    graphs += [cycle(7), path(6), complete_bipartite(3, 4),
+               circulant(8, 2).graph, Graph(("a", "b", "c", "d"),
+                                            (("a", "b"), ("c", "d")))]
+    for g in graphs:
+        assert _orbits(g) == automorphism_orbits_reference(g), g.edges
+
+
+def test_k33_target_witness_and_orbit():
+    # The line graph of K_{3,3}: the 9-vertex rook's graph K3 x K3, which
+    # is vertex-transitive; the n! reference switched off above 8 vertices.
+    target = reduce_hampath_to_radius(complete_bipartite(3, 3), 2).target
+    assert target == line_graph(complete_bipartite(3, 3))
+    assert len(_orbits(target)) == 1
+    assert len(automorphism_orbits_reference(target)) == 9
+    for g in (target, parse_graph(serialize_graph(target))):
+        result = exact_fk(g, 2)
+        assert result.optimum == 13
+        assert " ".join(result.witness.items) == (
+            "x1|y1 x1|y2 x1|y3 x2|y3 x3|y3 x3|y1 x3|y2 x1|y2 x2|y2 x2|y3 "
+            "x2|y1 x1|y1 x3|y1")
+
+
+def test_orbit_search_counts_against_the_budget():
+    # K_{5,5} takes 50 steps to find its one orbit
+    result = exact_fk(complete_bipartite(5, 5), 2,
+                      budget=SearchBudget(node_limit=20))
+    assert result.stop == "node limit" and result.nodes == 21
+    assert result.lower == bounds(complete_bipartite(5, 5), 2).fk_lower
+
+
+@pytest.mark.parametrize("g,k", [(cycle(8), 3), (path(8), 2)])
+def test_exact_ck_unknown_interval(g, k):
+    optimum = exact_ck(g, k).optimum
+    for budget in (SearchBudget(node_limit=50), SearchBudget(max_length=2)):
+        result = exact_ck(g, k, budget)
+        edge_bound = exact_ck_reference(g, k, budget)
+        assert not result.is_optimal and not edge_bound.is_optimal
+        assert edge_bound.lower <= result.lower <= optimum
+    # only covers of at least 3 sets remain: 3 + k reads
+    assert exact_ck(cycle(8), 3, SearchBudget(max_length=2)).lower == 6
+
+
+def test_stop_reason_and_nodes():
+    for solve in (exact_fk, exact_ck):
+        result = solve(complete(5), 1, budget=SearchBudget(node_limit=1))
+        assert result.stop == "node limit" and result.nodes == 2
+        optimal = solve(complete(5), 1)
+        assert optimal.stop is None and optimal.nodes > 1
+        assert optimal == solve(complete(5), 1,
+                                budget=SearchBudget(node_limit=10 ** 6))
+    result = exact_fk(complete(5), 1, budget=SearchBudget(max_length=5))
+    assert result.stop == "max_length" and result.lower > 5
+    result = exact_ck(cycle(8), 3, SearchBudget(max_length=2))
+    assert result.stop == "max_length"
+    result = exact_fk(complete_bipartite(4, 4), 2,
+                      budget=SearchBudget(time_limit=1e-9))
+    assert result.stop == "time limit" and result.nodes == 4096
