@@ -23,6 +23,8 @@ LINEAR = "linear"
 
 # Enumeration cap for the brute-force route (t^s strings).
 BRUTE_LIMIT = 1 << 26
+# Codes per block of the enumeration: 2^16 uint32 is 256 KB per buffer.
+_BRUTE_BLOCK = 1 << 16
 # Below this many strings, the auto method runs both routes and cross-checks.
 _CROSS_CHECK_LIMIT = 1 << 16
 # Entries per (rows, t^k) block of the walk DP: 2^14 int64 is 128 KB.  At
@@ -30,8 +32,8 @@ _CROSS_CHECK_LIMIT = 1 << 16
 # ran slower.
 _WALK_BLOCK = 1 << 14
 # Work cap for the walk DP, in entries updated (see `_walk_work`).  Binary
-# k = 10 may run to s = 1927, about as long as enumerating BRUTE_LIMIT
-# strings (2.5 s on a 2-core Xeon); binary k = 14 is out of reach.
+# k = 10 may run to s = 1927, which takes 2.3-2.5 s on a 2-core Xeon;
+# binary k = 14 is out of reach.
 WALK_LIMIT = 1 << 29
 
 
@@ -111,61 +113,92 @@ def count_bad_pairs(seq, k):
     return BadPairReport(bad, good, tuple(per_index))
 
 
-def _popcount(values):
-    return np.bitwise_count(values).astype(np.int64)
+def _rotation_distances(k, s):
+    """The (d, fold) list of cyclic distances, and the constant string's count.
+
+    Comparing each position with the one d ahead meets every pair at
+    distance d once, except at d = s/2, where it meets each pair twice
+    (fold 2).  The constant string has every one of these pairs bad.
+    """
+    distances = [(d, 2 if 2 * d == s else 1)
+                 for d in range(1, min(k, s // 2) + 1)]
+    return distances, sum(s // fold for _, fold in distances)
 
 
 def _wk_brute_binary(k, s):
-    """Minimum cyclic bad-pair count by enumerating all binary strings.
+    """Least bad-pair count over the binary codes 2^(s-2) to 2^(s-1) - 1.
 
-    Complementing every symbol preserves badness, so only strings with the
-    top bit clear are enumerated.  Counting uses rotate-xor-popcount.
+    The constant string's count less the greatest number of disagreeing
+    pairs, which is rotate-xor-popcount per distance.  Each block of
+    _BRUTE_BLOCK codes runs through the same preallocated buffers.  Codes
+    are uint32, which holds s <= 32 (BRUTE_LIMIT keeps s <= 26); a code's
+    disagreements sum to at most s * floor(s/2) <= 512, so they fit uint16.
+    At d = s/2 the xor has period s/2, so its popcount is even and halves
+    exactly.
     """
-    mask = np.uint64((1 << s) - 1)
-    total = 1 << max(s - 1, 1)
-    chunk = min(total, 1 << 20)
-    best = None
-    distances = []
-    for d in range(1, min(k, s // 2) + 1):
-        distances.append((d, 2 if 2 * d == s else 1))
-    for lo in range(0, total, chunk):
-        codes = np.arange(lo, min(lo + chunk, total), dtype=np.uint64)
-        bad = np.zeros(codes.shape, dtype=np.int64)
+    if s > 32:
+        raise BudgetError(
+            f"binary enumeration holds codes in uint32, so s <= 32; got {s}")
+    distances, constant = _rotation_distances(k, s)
+    mask = (1 << s) - 1
+    low = 1 << (s - 2)
+    block = min(low, _BRUTE_BLOCK)  # both powers of 2: every block is full
+    offsets = np.arange(block, dtype=np.uint32)
+    codes = np.empty(block, dtype=np.uint32)
+    rot = np.empty_like(codes)
+    wrap = np.empty_like(codes)
+    differ = np.empty(block, dtype=np.uint8)
+    disagree = np.empty(block, dtype=np.uint16)
+    best = 0  # the constant string disagrees nowhere
+    for lo in range(low, 2 * low, block):
+        np.add(offsets, lo, out=codes)
+        disagree.fill(0)
         for d, fold in distances:
-            rot = ((codes >> np.uint64(d)) |
-                   (codes << np.uint64(s - d))) & mask
-            agree = s - _popcount((codes ^ rot) & mask)
-            bad += agree // fold if fold == 2 else agree
-        m = int(bad.min())
-        best = m if best is None else min(best, m)
-    return best
+            np.right_shift(codes, d, out=rot)
+            np.left_shift(codes, s - d, out=wrap)
+            np.bitwise_or(rot, wrap, out=rot)
+            np.bitwise_and(rot, mask, out=rot)
+            np.bitwise_xor(rot, codes, out=rot)
+            np.bitwise_count(rot, out=differ)
+            if fold == 2:
+                np.right_shift(differ, 1, out=differ)
+            np.add(disagree, differ, out=disagree)
+        best = max(best, int(disagree.max()))
+    return constant - best
 
 
 def _wk_brute_tary(k, s, t):
-    """General-alphabet brute force over base-t digit arrays, chunked."""
-    total = t ** s
-    chunk = min(total, 1 << 18)
-    powers = [t ** (s - 1 - j) for j in range(s)]
-    distances = []
-    for d in range(1, min(k, s // 2) + 1):
-        distances.append((d, 2 if 2 * d == s else 1))
-    best = None
-    for lo in range(0, total, chunk):
-        codes = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        digits = [(codes // p) % t for p in powers]
-        bad = np.zeros(codes.shape, dtype=np.int64)
+    """Least bad-pair count over the base-t codes t^(s-2) to 2*t^(s-2) - 1,
+    each as a column of s digits, in blocks of _BRUTE_BLOCK codes."""
+    distances, constant = _rotation_distances(k, s)
+    low = t ** (s - 2)
+    powers = np.array([t ** (s - 1 - j) for j in range(s)],
+                      dtype=np.int64)[:, None]
+    best = 0
+    for lo in range(low, 2 * low, _BRUTE_BLOCK):
+        codes = np.arange(lo, min(lo + _BRUTE_BLOCK, 2 * low), dtype=np.int64)
+        digits = (codes // powers % t).astype(np.uint8)
+        disagree = np.zeros(len(codes), dtype=np.int64)
         for d, fold in distances:
-            agree = np.zeros(codes.shape, dtype=np.int64)
-            for i in range(s):
-                agree += digits[i] == digits[(i + d) % s]
-            bad += agree // fold if fold == 2 else agree
-        m = int(bad.min())
-        best = m if best is None else min(best, m)
-    return best
+            differ = np.count_nonzero(digits != np.roll(digits, -d, axis=0),
+                                      axis=0)
+            disagree += differ // fold
+        best = max(best, int(disagree.max()))
+    return constant - best
 
 
 def wk_brute(k, s, alphabet=2):
-    """Brute-force w_k(s); requires alphabet**s <= BRUTE_LIMIT."""
+    """Brute-force w_k(s); requires alphabet**s <= BRUTE_LIMIT.
+
+    Enumerates the constant string 0^s and the t^(s-2) strings that begin
+    with the symbols 0, 1 (codes t^(s-2) to 2*t^(s-2) - 1, most significant
+    digit first), which is exact: a string's bad-pair count depends only on
+    which positions hold equal symbols, so rotating it or permuting its
+    symbols keeps the count.  Any non-constant cyclic string has adjacent
+    symbols x_i != x_{i+1}; rotating i to the front and sending x_i, x_{i+1}
+    to 0, 1 gives an enumerated string.  `wk_walk` starts its walks from
+    the same set.
+    """
     debruijn._check_alphabet(alphabet)
     if s < 1:
         raise InvalidParameterError(f"length must be >= 1, got {s}")

@@ -199,7 +199,12 @@ def _cmd_exact(args, out):
         return 0
     budget = None
     if args.time_limit is not None:
-        budget = exact.SearchBudget(time_limit=args.time_limit)
+        # exact fk's memo is capped, so the clock alone can bound it; the
+        # A* tables of exact ck grow with its nodes, so it keeps the cap.
+        limits = {"time_limit": args.time_limit}
+        if args.kind == "fk":
+            limits["node_limit"] = sys.maxsize
+        budget = exact.SearchBudget(**limits)
     if args.kind == "fk":
         mode = radius.CYCLIC if args.cyclic else radius.LINEAR
         result = exact.exact_fk(g, args.k, mode=mode, budget=budget)
@@ -296,6 +301,8 @@ def _cmd_table2(args, out):
 
 
 def _cmd_conjecture(args, out):
+    if args.max_k < 1:
+        raise InvalidParameterError(f"max-k must be >= 1, got {args.max_k}")
     lines = []
     rows = []
     for k in range(1, args.max_k + 1):

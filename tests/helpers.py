@@ -128,6 +128,52 @@ def wk_walk_all_starts(k, s, t=2):
     return best // 2
 
 
+def wk_brute_reference(k, s, t=2):
+    """Test oracle: w_k(s) by enumerating every string, in 2^20-code chunks
+    (binary: all 2^(s-1) with the top bit clear, complementing keeps the
+    count; t-ary: all t^s as base-t digit arrays, 2^18-code chunks).
+
+    `binseq.wk_brute` as it was before it enumerated one string per
+    rotation-and-relabelling class; it must return exactly what this
+    returns.
+    """
+    if s == 1:
+        return 0
+    distances = [(d, 2 if 2 * d == s else 1)
+                 for d in range(1, min(k, s // 2) + 1)]
+    best = None
+    if t == 2:
+        mask = np.uint64((1 << s) - 1)
+        total = 1 << (s - 1)
+        chunk = min(total, 1 << 20)
+        for lo in range(0, total, chunk):
+            codes = np.arange(lo, min(lo + chunk, total), dtype=np.uint64)
+            bad = np.zeros(codes.shape, dtype=np.int64)
+            for d, fold in distances:
+                rot = ((codes >> np.uint64(d)) |
+                       (codes << np.uint64(s - d))) & mask
+                differ = np.bitwise_count((codes ^ rot) & mask)
+                bad += (s - differ.astype(np.int64)) // fold
+            m = int(bad.min())
+            best = m if best is None else min(best, m)
+        return best
+    total = t ** s
+    chunk = min(total, 1 << 18)
+    powers = [t ** (s - 1 - j) for j in range(s)]
+    for lo in range(0, total, chunk):
+        codes = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
+        digits = [(codes // p) % t for p in powers]
+        bad = np.zeros(codes.shape, dtype=np.int64)
+        for d, fold in distances:
+            agree = np.zeros(codes.shape, dtype=np.int64)
+            for i in range(s):
+                agree += digits[i] == digits[(i + d) % s]
+            bad += agree // fold
+        m = int(bad.min())
+        best = m if best is None else min(best, m)
+    return best
+
+
 def hamiltonian_path_reference(g):
     """Unpruned backtracking from every start in label order.
 

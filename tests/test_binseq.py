@@ -2,10 +2,13 @@
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import wk_walk_all_starts
+from helpers import wk_brute_reference, wk_walk_all_starts
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radiuskit import binseq, debruijn
 from radiuskit.binseq import (CyclicBitString, characteristic,
@@ -100,6 +103,76 @@ def test_wk_methods_agree():
     # t-ary agreement on a small grid
     for s in range(3, 9):
         assert wk_brute(2, s, alphabet=3) == wk_walk(2, s, alphabet=3)
+
+
+def test_wk_brute_matches_reference():
+    """One string per rotation-and-relabelling class gives the same minimum
+    as enumerating every string."""
+    cases = [(k, s, 2) for s in range(2, 21) for k in range(1, 12)]
+    cases += [(k, s, t) for t, max_s in ((3, 10), (4, 7), (5, 6))
+              for s in range(2, max_s + 1) for k in range(1, 8)]
+    cases += [(k, 1, t) for t in (2, 3) for k in (1, 2)]
+    for k, s, t in cases:
+        assert wk_brute(k, s, alphabet=t) == wk_brute_reference(k, s, t), \
+            (k, s, t)
+
+
+def test_wk_brute_pinned_values():
+    assert wk_brute(4, 24) == 32
+    assert wk_brute(8, 20) == 64
+    assert wk_brute(4, 26) == 36  # the 2^26 cap
+    with pytest.raises(BudgetError, match="cap"):
+        wk_brute(3, 27)
+
+
+def test_wk_brute_binary_headroom():
+    with pytest.raises(BudgetError, match="uint32"):
+        binseq._wk_brute_binary(2, 33)
+
+
+def test_wk_brute_set_covers_every_string():
+    """Every cyclic string of length s has a rotation and a relabelling in
+    {0^s} plus the codes t^(s-2) to 2*t^(s-2) - 1."""
+    for t in (2, 3):
+        for s in range(2, 10):
+            low = t ** (s - 2)
+            strings = np.array(list(itertools.product(range(t), repeat=s)))
+            covered = np.zeros(len(strings), dtype=bool)
+            for perm in itertools.permutations(range(t)):
+                relabelled = np.array(perm)[strings]
+                for i in range(s):
+                    codes = sum(relabelled[:, (i + j) % s] * t ** (s - 1 - j)
+                                for j in range(s))
+                    covered |= (codes == 0) | ((low <= codes) &
+                                               (codes < 2 * low))
+            assert covered.all(), (s, t)
+
+
+def test_wk_brute_peak_memory():
+    """The binary kernel reuses 2^16-entry buffers: under 4 MB at s = 24,
+    where 2^20-code uint64 chunks with int64 temporaries took about 49 MB."""
+    tracemalloc.start()
+    try:
+        wk_brute(4, 24)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda t: st.tuples(
+    st.lists(st.integers(0, t - 1), min_size=2, max_size=20),
+    st.permutations(range(t)), st.just(t))),
+    st.integers(0, 19), st.integers(1, 10))
+def test_count_bad_pairs_rotation_relabelling_invariant(case, shift, k):
+    symbols, perm, t = case
+    shift %= len(symbols)
+    moved = [perm[x] for x in symbols[shift:] + symbols[:shift]]
+    before = count_bad_pairs(CyclicBitString(symbols, alphabet=t), k)
+    after = count_bad_pairs(CyclicBitString(moved, alphabet=t), k)
+    assert after.bad_count == before.bad_count
+    assert after.good_count == before.good_count
 
 
 def walk_oracle_cases():

@@ -1,12 +1,13 @@
 """End-to-end CLI tests (in-process through main)."""
 
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from radiuskit import binseq, debruijn, radius
+from radiuskit import binseq, debruijn, exact, radius
 from radiuskit.cli import main
 from radiuskit.errors import VerificationError
 from radiuskit.graphs import complete, complete_bipartite, parse_graph, \
@@ -200,6 +201,32 @@ def test_exact_fk_unknown_exit(capsys, tmp_path):
                                "lower": 11, "upper": None}
 
 
+def test_exact_time_limit_budgets(capsys, monkeypatch, k4_file):
+    """`--time-limit` lifts the node cap of exact fk (its memo is capped)
+    but not of exact ck (its A* tables grow with the nodes)."""
+    budgets = []
+    for name in ("exact_fk", "exact_ck"):
+        def capture(*args, real=getattr(exact, name), **kwargs):
+            budgets.append(kwargs["budget"])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(exact, name, capture)
+    default = exact.SearchBudget()
+    code, out, _ = run(capsys, ["exact", "fk", "--k", "2", "--graph", k4_file,
+                                "--time-limit", "30"])
+    assert code == 0 and "f_2 = 5" in out
+    assert budgets[-1] == exact.SearchBudget(time_limit=30,
+                                             node_limit=sys.maxsize)
+    code, out, _ = run(capsys, ["exact", "ck", "--k", "2", "--graph", k4_file,
+                                "--time-limit", "30"])
+    assert code == 0 and "c_2 = 5" in out
+    assert budgets[-1] == exact.SearchBudget(time_limit=30)
+    assert budgets[-1].node_limit == default.node_limit
+    for kind in ("fk", "ck"):
+        code, _, _ = run(capsys, ["exact", kind, "--k", "2",
+                                  "--graph", k4_file])
+        assert code == 0 and budgets[-1] is None
+
+
 def test_maxcut_circulant(capsys):
     code, out, _ = run(capsys, ["maxcut", "circulant", "--n", "8", "--k", "2",
                                 "--brute-check"])
@@ -275,6 +302,10 @@ def test_conjecture(capsys):
     code, out, _ = run(capsys, ["conjecture", "--max-k", "6"])
     assert code == 0
     assert out.count("equal") == 6
+    for max_k in ("0", "-3"):
+        code, out, err = run(capsys, ["conjecture", "--max-k", max_k])
+        assert code == 2 and out == ""
+        assert err == f"usage error: max-k must be >= 1, got {max_k}\n"
 
 
 def test_construct_euler_requires_graph(capsys):
