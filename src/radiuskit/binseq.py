@@ -81,16 +81,18 @@ class BadPairReport(NamedTuple):
 
 
 def _pair_offsets(s, k, mode):
-    """Yield (i, j) for every unordered within-distance pair, exactly once."""
+    """Yield (i, j) for every unordered within-distance pair, exactly once.
+
+    Each distance d pairs position i with i + d for the first `span`
+    positions: s - d of them in linear mode, s // fold cyclically.
+    """
     if mode == LINEAR:
-        for i in range(s):
-            for j in range(i + 1, min(i + k, s - 1) + 1):
-                yield i, j
+        spans = [(d, s - d) for d in range(1, min(k, s - 1) + 1)]
     else:
-        for d in range(1, min(k, s // 2) + 1):
-            span = s // 2 if 2 * d == s else s
-            for i in range(span):
-                yield i, (i + d) % s
+        spans = [(d, s // fold) for d, fold in _rotation_distances(k, s)[0]]
+    for d, span in spans:
+        for i in range(span):
+            yield i, (i + d) % s
 
 
 def count_bad_pairs(seq, k):
@@ -216,23 +218,18 @@ def wk_brute(k, s, alphabet=2):
 def _truncated_weight_tables(k, s, t):
     """Doubled edge-weight tables that count each unordered pair twice.
 
-    For s > 2k these are just twice the plain edge weights.  For
-    k+1 <= s <= 2k a pair at offset d is also within distance at the
-    reverse offset s-d, so plain weights would double-count it; counting
-    only offsets up to floor((s-1)/2) once and the half-way offset s/2 (for
-    even s) with weight 1 instead of 2 makes the walk total equal exactly
-    twice the bad-pair count of the corresponding cyclic string.
+    An edge compares the dropped symbol with the one d ahead at digit
+    position d-1 of its target.  Over the cyclic distances of
+    `_rotation_distances` that position weighs 2 // fold: 2, or 1 at
+    d = s/2, where a closed walk meets each pair twice.  Offsets past s/2
+    weigh 0, being the reverse offsets of pairs already counted.  The walk
+    total is then exactly twice the bad-pair count of the cyclic string;
+    for s > 2k these are twice the plain edge weights.
     """
-    dmax = min(k, (s - 1) // 2)
-    extra = None
-    if s % 2 == 0 and s // 2 <= k:
-        extra = s // 2 - 1  # 0-based digit position for offset s/2
-    cnt = debruijn._digit_counts(k, t, num_digits=dmax)
-    doubled = 2 * cnt
-    if extra is not None:
-        doubled += debruijn._digit_counts(k, t, num_digits=0,
-                                          extra_digit=extra)
-    return doubled
+    multiplicity = [0] * k
+    for d, fold in _rotation_distances(k, s)[0]:
+        multiplicity[d - 1] = 2 // fold
+    return debruijn._digit_counts(k, t, multiplicity)
 
 
 def _walk_work(k, s, t):
@@ -247,7 +244,7 @@ def _walk_work(k, s, t):
     return s * -(-starts // rows) * max(size, _WALK_BLOCK)
 
 
-def wk_walk(k, s, alphabet=2, max_vertices=debruijn.DEFAULT_MAX_VERTICES):
+def wk_walk(k, s, alphabet=2):
     """w_k(s) as the minimum-weight closed walk of length s.
 
     Cyclic strings of length s >= k+1 correspond bijectively to closed
@@ -273,9 +270,10 @@ def wk_walk(k, s, alphabet=2, max_vertices=debruijn.DEFAULT_MAX_VERTICES):
         raise InvalidParameterError(
             f"walk method needs s >= k+1 (got s={s}, k={k})")
     size = t ** k
-    if size > max_vertices:
+    if size > debruijn.DEFAULT_MAX_VERTICES:
         raise BudgetError(
-            f"walk DP needs {size} vertices, over the budget of {max_vertices}")
+            f"walk DP needs {size} vertices, over the budget of "
+            f"{debruijn.DEFAULT_MAX_VERTICES}")
     work = _walk_work(k, s, t)
     if work > WALK_LIMIT:
         raise BudgetError(
@@ -347,7 +345,7 @@ class LowBadConstruction(NamedTuple):
     bad_count: int
 
 
-def construct_low_bad(k, s, max_vertices=debruijn.DEFAULT_MAX_VERTICES):
+def construct_low_bad(k, s):
     """Cyclic binary string of length s with close to a_k*s bad pairs.
 
     Repeats an optimal cycle word floor(s/ell) times and pads with the
@@ -355,8 +353,7 @@ def construct_low_bad(k, s, max_vertices=debruijn.DEFAULT_MAX_VERTICES):
     always below a_k*s + k(2^k + k); when ell divides s and s > 2k it equals
     a_k*s exactly.
     """
-    cycle = debruijn.min_normalized_cycle(debruijn.build_debruijn(k),
-                                          max_vertices)
+    cycle = debruijn.min_normalized_cycle(debruijn.build_debruijn(k))
     ell = cycle.length
     if s < ell:
         raise UnsupportedLengthError(

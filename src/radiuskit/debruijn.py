@@ -172,28 +172,23 @@ def build_debruijn(k, alphabet=2):
     return DeBruijnGraph(k=k, alphabet=alphabet)
 
 
-def _digit_counts(k, t, num_digits=None, extra_digit=None):
+def _digit_counts(k, t, multiplicity=None):
     """Per-symbol digit-count tables over all t^k vertex codes.
 
-    Returns an int64 array cnt of shape (t, t^k) where cnt[b][v] counts the
-    symbol b among the first `num_digits` (most significant) digits of v,
-    plus 1 more if digit position `extra_digit` (0-based from the most
-    significant) equals b.  Defaults cover all k digits.
+    Returns an int64 array cnt of shape (t, t^k) where cnt[b][v] sums
+    multiplicity[pos] over the digit positions pos of v (0-based from the
+    most significant) that hold the symbol b.  By default every position
+    counts 1.
     """
-    if num_digits is None:
-        num_digits = k
+    if multiplicity is None:
+        multiplicity = [1] * k
     size = t ** k
     codes = np.arange(size, dtype=np.int64)
     cnt = np.zeros((t, size), dtype=np.int64)
-    for pos in range(k):
-        weight_positions = pos < num_digits
-        extra = extra_digit is not None and pos == extra_digit
-        if not weight_positions and not extra:
-            continue
+    flat = cnt.reshape(-1)  # cnt[b][v] is flat[b * size + v]
+    for pos, bump in enumerate(multiplicity):
         digit = (codes // (t ** (k - 1 - pos))) % t
-        bump = (1 if weight_positions else 0) + (1 if extra else 0)
-        for b in range(t):
-            cnt[b] += bump * (digit == b)
+        flat[digit * size + codes] += bump  # no index repeats within a pass
     return cnt
 
 
@@ -231,10 +226,11 @@ def min_normalized_cycle(g, max_vertices=DEFAULT_MAX_VERTICES):
     arithmetic, then extracts a witness from potentials: reweight edges by
     q*w - p, compute shortest walk distances, and take any cycle of tight
     edges.  Every cycle found that way attains the minimum exactly.  Ties
-    between optimal cycles are broken by a deterministic DFS (increasing
-    vertex codes, then increasing appended symbols); any minimum cycle is
-    acceptable downstream.  Before returning, `check_certificate` re-checks
-    mu from the distances and the witness alone.
+    between optimal cycles are broken by a fixed walk from vertex 0 that
+    appends the least symbol still leading to a tight cycle (see
+    `_extract_tight_cycle`); any minimum cycle is acceptable downstream.
+    Before returning, `check_certificate` re-checks mu from the distances
+    and the witness alone.
 
     Raises BudgetError when the vertex count exceeds `max_vertices` or the
     potentials could outgrow their int64 headroom, and VerificationError if
@@ -463,13 +459,26 @@ def _extract_tight_cycle(k, t, cnt, idx, mu):
     """Find a simple cycle all of whose edges are tight for cycle mean mu.
 
     With w'(e) = q*w(e) - p every cycle has nonnegative w'-weight and the
-    optimal ones weigh exactly 0, so after computing shortest-walk potentials
-    the zero-reduced-weight subgraph contains exactly the optimal cycles.
-    Returns the cycle's vertex codes and those potentials.
+    optimal ones weigh exactly 0, so after computing shortest-walk distances
+    from vertex 0 the zero-reduced-weight (tight) subgraph contains exactly
+    the optimal cycles.  Returns the cycle's vertex codes and the distances,
+    which serve as potentials.
+
+    The cycle is the one a depth-first search from vertex 0 closes when it
+    tries successors in symbol order, computed without the search.  Peeling
+    (dropping, round by round, every vertex with no tight edge to a vertex
+    still left) leaves the vertices that reach a tight cycle.  The
+    shortest-path tree is tight, so 0 reaches every vertex, and every
+    optimal cycle, that way.  The search never returns from a vertex that
+    reaches a tight cycle, and always finishes one that reaches none, so the
+    stack it holds when it closes its cycle is the walk from 0 that takes,
+    at each vertex, the least symbol whose successor is tight and left
+    after peeling; the cycle runs from the walk's first repeated vertex.
     """
     p, q = mu.numerator, mu.denominator
     size = t ** k
-    wadj = [q * cnt[b] - p for b in range(t)]
+    wadj = cnt * q
+    wadj -= p
 
     dist = np.full(size, _INF, dtype=np.int64)
     dist[0] = 0
@@ -481,68 +490,35 @@ def _extract_tight_cycle(k, t, cnt, idx, mu):
     else:
         raise VerificationError("negative cycle in reweighted graph")
 
+    # The relaxation's terms dist[u] + w'(u -> v), in place, indexed by
+    # predecessor symbol as in `_dp_step`: [b, j, c] is the edge from
+    # u = b*shift + j to v = j*t + c, so tight[b, j] lists u's successors.
     shift = t ** (k - 1)
-    mask = size // t  # == t^(k-1), modulus for suffix extraction
+    terms = wadj.reshape(t, shift, t)
+    terms += dist.reshape(t, shift, 1)
+    tight = terms == dist.reshape(shift, t)
+    alive = np.ones(size, dtype=bool)
+    while True:
+        tight &= alive.reshape(shift, t)  # alive only shrinks
+        kept = tight.any(axis=2).ravel()
+        if np.array_equal(kept, alive):
+            break
+        alive = kept
+    if not alive[0]:
+        raise VerificationError("tight subgraph must contain a cycle")
 
-    def tight_successors(u):
-        head = u // shift
-        base = (u % mask) * t
-        du = int(dist[u])
-        for c in range(t):
-            v = base + c
-            if du + q * int(cnt[head][v]) - p == int(dist[v]):
-                yield v
-
-    color = bytearray(size)  # 0 new, 1 on stack, 2 done
-    for root in range(size):
-        if color[root]:
-            continue
-        stack = [(root, tight_successors(root))]
-        color[root] = 1
-        path = [root]
-        pos = {root: 0}
-        while stack:
-            u, it = stack[-1]
-            advanced = False
-            for v in it:
-                if color[v] == 1:
-                    return path[pos[v]:], dist
-                if color[v] == 0:
-                    color[v] = 1
-                    pos[v] = len(path)
-                    path.append(v)
-                    stack.append((v, tight_successors(v)))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                color[u] = 2
-                pos.pop(u, None)
-                path.pop()
-    raise VerificationError("tight subgraph must contain a cycle")
+    walk, pos = [], {}
+    u = 0
+    while u not in pos:
+        pos[u] = len(walk)
+        walk.append(u)
+        u = u % shift * t + int(tight[u // shift, u % shift].argmax())
+    return walk[pos[u]:], dist
 
 
 def _least_rotation(symbols):
-    """Booth's algorithm: lexicographically least rotation of a tuple."""
-    s = symbols + symbols
-    n = len(symbols)
-    f = [-1] * len(s)
-    start = 0
-    for j in range(1, len(s)):
-        sj = s[j]
-        i = f[j - start - 1]
-        while i != -1 and sj != s[start + i + 1]:
-            if sj < s[start + i + 1]:
-                start = j - i - 1
-            i = f[i]
-        if sj != s[start + i + 1]:
-            if sj < s[start]:
-                start = j
-            f[j - start] = -1
-        else:
-            f[j - start] = i + 1
-    return symbols[start:] + symbols[:start] if start < n else tuple(
-        s[start:start + n])
+    """Lexicographically least rotation of a tuple."""
+    return min(symbols[i:] + symbols[:i] for i in range(len(symbols)))
 
 
 class ZkValue(NamedTuple):
@@ -596,7 +572,7 @@ def ak(k, alphabet=2, max_vertices=DEFAULT_MAX_VERTICES):
     return cycle.normalized
 
 
-def dk(k, max_vertices=DEFAULT_MAX_VERTICES):
+def dk(k):
     """Overhead constant k / (k - a_k), exact."""
-    a = ak(k, max_vertices=max_vertices)
+    a = ak(k)
     return Fraction(k) / (k - a)

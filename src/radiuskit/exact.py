@@ -30,8 +30,10 @@ class SearchBudget:
     node_limit: int = 5_000_000
 
     def __post_init__(self):
-        if self.max_length < 1 or self.time_limit <= 0 or self.node_limit < 1:
-            raise InvalidParameterError("budget fields must be positive")
+        if (self.max_length < 1 or not 0 < self.time_limit < math.inf
+                or self.node_limit < 1):
+            raise InvalidParameterError(
+                "budget fields must be positive and time_limit finite")
 
 
 @dataclass(frozen=True)
@@ -305,6 +307,8 @@ def exact_ck(g, k, budget=None):
     lower the least f), so the optimum is at least min(least f on the heap,
     max_length + 1) + k reads, and at least the edge bound.
     """
+    if k < 1:
+        raise InvalidParameterError(f"k must be >= 1, got {k}")
     if g.num_vertices <= k + 1:
         raise InvalidParameterError(
             f"need more than k+1 = {k + 1} vertices, got {g.num_vertices}")

@@ -251,28 +251,22 @@ def cover1_witness_to_coverk(inst, one_cover):
 def loss_count(cov):
     """Count co-residency events that cover no new edge.
 
-    A newly co-resident pair is a loss when it is not an edge, or when it
-    was already co-resident strictly before the preceding set.  For every
-    valid cover sequence e(G) + losses = k(s-1) + C(k+1,2).
+    The newly co-resident pairs of a set are those of its newly arrived
+    members with every member (all its pairs, for the first set).  Such a
+    pair is a loss when it is not an edge, or when it was co-resident in an
+    earlier set; it cannot have been in the preceding one.  For every valid
+    cover sequence e(G) + losses = k(s-1) + C(k+1,2).
     """
     check_cover_structure(cov)
     edges = cov.graph.edge_set()
     losses = 0
-    seen_before = set()  # pairs co-resident in sets up to index i-2
-    previous = None
+    seen = set()  # pairs co-resident in some earlier set
+    previous = frozenset()
     for current in cov.sets:
-        members = sorted(current)
-        for a_i in range(len(members)):
-            for b_i in range(a_i + 1, len(members)):
-                pair = frozenset((members[a_i], members[b_i]))
-                if previous is not None and pair <= previous:
-                    continue
-                if pair not in edges or pair in seen_before:
-                    losses += 1
-        if previous is not None:
-            for a_i, a in enumerate(sorted(previous)):
-                for b in sorted(previous)[a_i + 1:]:
-                    seen_before.add(frozenset((a, b)))
+        pairs = {frozenset((a, b)) for a in current - previous
+                 for b in current if a != b}
+        losses += sum(pair not in edges or pair in seen for pair in pairs)
+        seen |= pairs
         previous = current
     return losses
 

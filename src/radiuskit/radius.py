@@ -166,7 +166,7 @@ class BoundsReport:
     fk_lower: int
 
 
-def bounds(g, k, max_vertices=debruijn.DEFAULT_MAX_VERTICES):
+def bounds(g, k):
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
     e = g.num_edges
@@ -176,7 +176,7 @@ def bounds(g, k, max_vertices=debruijn.DEFAULT_MAX_VERTICES):
     bipartite_bound = None
     if e > 0 and g.bipartition() is not None:
         try:
-            a = debruijn.ak(k, max_vertices=max_vertices)
+            a = debruijn.ak(k)
             bipartite_bound = Fraction(e) / (k - a)
         except BudgetError:
             bipartite_bound = None
@@ -298,8 +298,7 @@ class BipartiteConstruction(NamedTuple):
     blocks_used: int
 
 
-def construct_bipartite(m, n, k, epsilon_hint=0.5, seed=0,
-                        max_vertices=debruijn.DEFAULT_MAX_VERTICES):
+def construct_bipartite(m, n, k, epsilon_hint=0.5, seed=0):
     """A verified k-radius sequence for the complete bipartite graph.
 
     Concatenates instantiations of an optimal-cycle block pattern, choosing
@@ -326,8 +325,7 @@ def construct_bipartite(m, n, k, epsilon_hint=0.5, seed=0,
         return BipartiteConstruction(seq, 0, Fraction(0), 0.0, None, 0)
 
     g = complete_bipartite(m, n)
-    opt = debruijn.min_normalized_cycle(debruijn.build_debruijn(k),
-                                        max_vertices)
+    opt = debruijn.min_normalized_cycle(debruijn.build_debruijn(k))
     a = opt.normalized
     lower = Fraction(m * n) / (k - a)
 
@@ -433,46 +431,30 @@ def cover_strategy_bipartite(m, n, k):
     if m + n <= k + 1:
         raise InvalidParameterError(
             f"need m + n > k + 1 (got {m}+{n} vs k={k})")
-    if k >= m + n:
-        raise InvalidParameterError("cache cannot exceed the vertex count")
     g = complete_bipartite(m, n)
     xs = [f"x{i}" for i in range(1, m + 1)]
     ys = [f"y{j}" for j in range(1, n + 1)]
 
-    sets = []
     if m < k:
         # Window of k+1-m Y-vertices slides while all of X stays resident.
         w = k + 1 - m
-        sets.append(frozenset(xs) | frozenset(ys[:w]))
-        for j in range(w, n):
-            sets.append(frozenset(xs) | frozenset(ys[j - w + 1:j + 1]))
+        sets = [frozenset(xs + ys[j - w + 1:j + 1]) for j in range(w - 1, n)]
     else:
-        rounds = math.ceil(m / k)
-        held = None
-        for r in range(rounds):
+        sets = []
+        current = set(xs[:k])
+        for r in range(math.ceil(m / k)):
             fresh = xs[r * k:(r + 1) * k]
-            pad = [x for x in xs[:r * k] if x not in fresh]
-            group = fresh + pad[:k - len(fresh)]
-            if held is None:
-                sets.append(frozenset(group) | {ys[0]})
-                start_y = 1
-            else:
-                current = set(held)
-                for x in group:
-                    if x in current:
-                        continue
-                    out = next(v for v in sorted(current)
-                               if v in held and v not in group)
-                    current.remove(out)
+            group = fresh + xs[:k - len(fresh)]
+            held = frozenset(group)
+            # swap the group in one member at a time while y_n stays
+            for x in group:
+                if x not in current:
+                    current.remove(min(current - held))
                     current.add(x)
-                    sets.append(frozenset(current) | {last_y})
-                start_y = 0
-            for j in range(start_y, n):
-                if sets and ys[j] in sets[-1]:
-                    continue
-                sets.append(frozenset(group) | {ys[j]})
-            held = set(group)
-            last_y = ys[n - 1]
+                    sets.append(frozenset(current) | {ys[-1]})
+            # with n = 1 the last swap already holds the group and y_1
+            if r == 0 or n > 1:
+                sets.extend(held | {y} for y in ys)
     cov = CoverSequence(g, k, tuple(sets))
     check = verify_cover(cov)
     if not check.valid:

@@ -7,13 +7,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from radiuskit import binseq, debruijn
+from radiuskit import debruijn
 from radiuskit.errors import InvalidParameterError, VerificationError
 from radiuskit.exact import (OPTIMAL, UNKNOWN, ExactResult, SearchBudget,
                              _Exhausted, _SearchState)
 from radiuskit.graphs import Graph, edge_label
 from radiuskit.radius import (CYCLIC, LINEAR, CoverSequence, VertexSequence,
-                              bounds, verify_cover, verify_radius)
+                              bounds, check_cover_structure, verify_cover,
+                              verify_radius)
 
 
 def random_graph(rng, n, edge_prob=0.5):
@@ -98,10 +99,94 @@ def karp_min_cycle(k, t=2):
     assert (best_num > -(inf >> 1)).all(), "source must reach every vertex"
     minimum = min(Fraction(int(n), int(d))
                   for n, d in zip(best_num, best_den))
-    codes, _ = debruijn._extract_tight_cycle(k, t, cnt, idx, minimum)
+    codes, _ = extract_tight_cycle_reference(k, t, cnt, idx, minimum)
     shift = t ** (k - 1)
     symbols = tuple(int(v // shift) for v in codes)
     return minimum, debruijn._least_rotation(symbols)
+
+
+def extract_tight_cycle_reference(k, t, cnt, idx, mu):
+    """Test oracle: a tight cycle by depth-first search over tight edges.
+
+    `debruijn._extract_tight_cycle` as it was before it computed the walk
+    this search takes: Bellman-Ford distances from vertex 0, then a DFS
+    from each root in code order, trying successors in symbol order, that
+    returns the stack from the first vertex it meets again.  Returns the
+    cycle's vertex codes and the distances.
+    """
+    p, q = mu.numerator, mu.denominator
+    size = t ** k
+    wadj = [q * cnt[b] - p for b in range(t)]
+
+    dist = np.full(size, debruijn._INF, dtype=np.int64)
+    dist[0] = 0
+    for _ in range(size + 1):
+        new = np.minimum(dist, debruijn._dp_step(dist, idx, wadj))
+        if np.array_equal(new, dist):
+            break
+        dist = new
+    else:
+        raise VerificationError("negative cycle in reweighted graph")
+
+    shift = t ** (k - 1)
+    mask = size // t
+
+    def tight_successors(u):
+        head = u // shift
+        base = (u % mask) * t
+        du = int(dist[u])
+        for c in range(t):
+            v = base + c
+            if du + q * int(cnt[head][v]) - p == int(dist[v]):
+                yield v
+
+    color = bytearray(size)  # 0 new, 1 on stack, 2 done
+    for root in range(size):
+        if color[root]:
+            continue
+        stack = [(root, tight_successors(root))]
+        color[root] = 1
+        path = [root]
+        pos = {root: 0}
+        while stack:
+            u, it = stack[-1]
+            advanced = False
+            for v in it:
+                if color[v] == 1:
+                    return path[pos[v]:], dist
+                if color[v] == 0:
+                    color[v] = 1
+                    pos[v] = len(path)
+                    path.append(v)
+                    stack.append((v, tight_successors(v)))
+                    advanced = True
+                    break
+            if not advanced:
+                stack.pop()
+                color[u] = 2
+                pos.pop(u, None)
+                path.pop()
+    raise VerificationError("tight subgraph must contain a cycle")
+
+
+def truncated_weight_tables_reference(k, s, t=2):
+    """Test oracle: the doubled walk-DP weight tables by their formula.
+
+    Digit positions below min(k, floor((s-1)/2)) weigh 2, and for even s
+    with s/2 <= k the position s/2 - 1 weighs 1; `binseq`'s tables as they
+    were built before they came from `_rotation_distances`.
+    """
+    dmax = min(k, (s - 1) // 2)
+    half = s // 2 - 1 if s % 2 == 0 and s // 2 <= k else None
+    size = t ** k
+    codes = np.arange(size, dtype=np.int64)
+    tables = np.zeros((t, size), dtype=np.int64)
+    for pos in range(k):
+        weight = 2 if pos < dmax else 1 if pos == half else 0
+        digit = (codes // (t ** (k - 1 - pos))) % t
+        for b in range(t):
+            tables[b] += weight * (digit == b)
+    return tables
 
 
 def wk_walk_all_starts(k, s, t=2):
@@ -112,7 +197,7 @@ def wk_walk_all_starts(k, s, t=2):
     windows; the restricted search must return exactly what this returns.
     """
     size = t ** k
-    weights = binseq._truncated_weight_tables(k, s, t)
+    weights = truncated_weight_tables_reference(k, s, t)
     idx = debruijn._pred_indices(k, t)
     inf = debruijn._INF
     best = None
@@ -452,3 +537,78 @@ def exact_ck_reference(g, k, budget=None):
         edge_bound = bounds(g, k).edge_bound
         lo = math.ceil(edge_bound) if edge_bound is not None else k + 1
         return ExactResult(UNKNOWN, None, None, lo, None)
+
+
+def loss_count_reference(cov):
+    """Test oracle: co-residency losses by rescanning every pair of every set.
+
+    `hardness.loss_count` as it was before it counted from the newly
+    arrived members: a pair of a set that was not inside the preceding set
+    is a loss when it is not an edge or was co-resident strictly before the
+    preceding set.
+    """
+    check_cover_structure(cov)
+    edges = cov.graph.edge_set()
+    losses = 0
+    seen_before = set()  # pairs co-resident in sets up to index i-2
+    previous = None
+    for current in cov.sets:
+        members = sorted(current)
+        for a_i in range(len(members)):
+            for b_i in range(a_i + 1, len(members)):
+                pair = frozenset((members[a_i], members[b_i]))
+                if previous is not None and pair <= previous:
+                    continue
+                if pair not in edges or pair in seen_before:
+                    losses += 1
+        if previous is not None:
+            for a_i, a in enumerate(sorted(previous)):
+                for b in sorted(previous)[a_i + 1:]:
+                    seen_before.add(frozenset((a, b)))
+        previous = current
+    return losses
+
+
+def cover_strategy_reference(m, n, k):
+    """Test oracle: the sets of `radius.cover_strategy_bipartite` as it built
+    them before it was written directly, with the same parameter errors."""
+    if m < 1 or n < 1 or k < 1:
+        raise InvalidParameterError("need m, n, k >= 1")
+    if m + n <= k + 1:
+        raise InvalidParameterError(
+            f"need m + n > k + 1 (got {m}+{n} vs k={k})")
+    xs = [f"x{i}" for i in range(1, m + 1)]
+    ys = [f"y{j}" for j in range(1, n + 1)]
+    sets = []
+    if m < k:
+        w = k + 1 - m
+        sets.append(frozenset(xs) | frozenset(ys[:w]))
+        for j in range(w, n):
+            sets.append(frozenset(xs) | frozenset(ys[j - w + 1:j + 1]))
+        return tuple(sets)
+    held = None
+    for r in range(math.ceil(m / k)):
+        fresh = xs[r * k:(r + 1) * k]
+        pad = [x for x in xs[:r * k] if x not in fresh]
+        group = fresh + pad[:k - len(fresh)]
+        if held is None:
+            sets.append(frozenset(group) | {ys[0]})
+            start_y = 1
+        else:
+            current = set(held)
+            for x in group:
+                if x in current:
+                    continue
+                out = next(v for v in sorted(current)
+                           if v in held and v not in group)
+                current.remove(out)
+                current.add(x)
+                sets.append(frozenset(current) | {last_y})
+            start_y = 0
+        for j in range(start_y, n):
+            if sets and ys[j] in sets[-1]:
+                continue
+            sets.append(frozenset(group) | {ys[j]})
+        held = set(group)
+        last_y = ys[n - 1]
+    return tuple(sets)

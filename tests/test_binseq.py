@@ -6,7 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import wk_brute_reference, wk_walk_all_starts
+from helpers import (truncated_weight_tables_reference, wk_brute_reference,
+                     wk_walk_all_starts)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +34,20 @@ def naive_pair_count(symbols, k, mode):
                 else:
                     good += 1
     return bad, good
+
+
+def test_pair_offsets_match_definition():
+    """Every i < j within distance k, exactly once, for s <= 29 and
+    k <= 31 in both modes."""
+    for mode in ("cyclic", "linear"):
+        for s in range(1, 30):
+            for k in range(1, 32):
+                pairs = [tuple(sorted(p))
+                         for p in binseq._pair_offsets(s, k, mode)]
+                expected = [(i, j) for i in range(s) for j in range(i + 1, s)
+                            if (j - i if mode == "linear"
+                                else min(j - i, s - j + i)) <= k]
+                assert sorted(pairs) == expected, (s, k, mode)
 
 
 def bits(text, mode="cyclic"):
@@ -189,6 +204,15 @@ def test_wk_walk_matches_all_starts():
     for k, s, t in walk_oracle_cases():
         assert wk_walk(k, s, alphabet=t) == wk_walk_all_starts(k, s, t), \
             (k, s, t)
+
+
+def test_truncated_weight_tables_match_reference():
+    for t, max_k in ((2, 10), (3, 6), (4, 5), (5, 4)):
+        for k in range(1, max_k + 1):
+            for s in range(k + 1, 3 * k + 4):
+                assert np.array_equal(
+                    binseq._truncated_weight_tables(k, s, t),
+                    truncated_weight_tables_reference(k, s, t)), (k, s, t)
 
 
 def test_wk_walk_start_set_covers_every_string():

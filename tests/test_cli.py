@@ -77,11 +77,18 @@ def test_usage_errors(capsys, tmp_path, k4_file):
     code, _, err = run(capsys, ["bounds", "--k", "1",
                                 "--graph", str(tmp_path / "missing.edges")])
     assert code == 2
-    for limit in ("0", "-1"):
-        code, out, err = run(capsys, ["exact", "fk", "--k", "2",
-                                      "--graph", k4_file,
-                                      "--time-limit", limit])
-        assert code == 2 and out == "" and "positive" in err
+    for limit in ("0", "-1", "nan", "inf"):
+        for kind in ("fk", "ck"):
+            code, out, err = run(capsys, ["exact", kind, "--k", "2",
+                                          "--graph", k4_file,
+                                          "--time-limit", limit])
+            assert code == 2 and out == "" and "positive" in err
+            assert "finite" in err and "Traceback" not in err
+    code, out, err = run(capsys, ["exact", "ck", "--k", "0",
+                                  "--graph", k4_file])
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and "k must be >= 1, got 0" in err
+    assert "Traceback" not in err
 
 
 def test_construct_bipartite_rejects_bad_epsilon(capsys):

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import karp_min_cycle
+from helpers import extract_tight_cycle_reference, karp_min_cycle
 
+from radiuskit import debruijn
 from radiuskit.debruijn import (ak, ak_bounds, build_debruijn,
                                 check_certificate, dk, min_normalized_cycle,
                                 zk)
@@ -136,6 +137,30 @@ KARP_CASES = [(k, 2) for k in range(1, 13)] + [
 def test_howard_matches_karp_oracle(k, t):
     cycle = min_normalized_cycle(build_debruijn(k, t))
     assert (cycle.normalized, cycle.symbols) == karp_min_cycle(k, t)
+
+
+def test_tight_cycle_matches_dfs_reference():
+    """The witness walk closes the cycle the depth-first search closes, with
+    the same distances, on binary k <= 12 and every 3 <= t <= 64 with
+    t^k <= 4096."""
+    cases = [(k, 2) for k in range(1, 13)] + [
+        (k, t) for t in range(3, 65) for k in range(1, 8) if t ** k <= 4096]
+    assert len(cases) == 162
+    for k, t in cases:
+        cnt = debruijn._digit_counts(k, t)
+        idx = debruijn._pred_indices(k, t)
+        mu = debruijn._howard_min_mean(k, t, cnt)
+        codes, dist = debruijn._extract_tight_cycle(k, t, cnt, idx, mu)
+        ref_codes, ref_dist = extract_tight_cycle_reference(k, t, cnt, idx,
+                                                            mu)
+        assert codes == ref_codes, (k, t)
+        assert np.array_equal(dist, ref_dist), (k, t)
+
+
+def test_least_rotation():
+    assert debruijn._least_rotation((1, 0, 1, 0, 0)) == (0, 0, 1, 0, 1)
+    assert debruijn._least_rotation((1, 1)) == (1, 1)
+    assert debruijn._least_rotation((2, 0, 1)) == (0, 1, 2)
 
 
 @pytest.mark.parametrize(

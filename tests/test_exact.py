@@ -90,10 +90,18 @@ def test_maxcut_identity_small_sweep():
 
 
 def test_budget_validation():
-    with pytest.raises(InvalidParameterError):
-        SearchBudget(time_limit=0)
+    for limit in (0, -1, float("nan"), float("inf")):
+        with pytest.raises(InvalidParameterError):
+            SearchBudget(time_limit=limit)
     with pytest.raises(InvalidParameterError):
         SearchBudget(node_limit=0)
+
+
+def test_exact_ck_rejects_k_below_one():
+    for k in (0, -1):
+        with pytest.raises(InvalidParameterError,
+                           match=f"k must be >= 1, got {k}"):
+            exact_ck(complete_bipartite(3, 3), k)
 
 
 def brute_force_fk(g, k, mode):

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from helpers import loss_count_reference
 
 from radiuskit.errors import InputError, InvalidParameterError, WitnessError
 from radiuskit.exact import exact_ck
@@ -151,6 +152,32 @@ def test_loss_identity_randomized():
         s = len(cov)
         assert g.num_edges + loss_count(cov) == \
             k * (s - 1) + math.comb(k + 1, 2)
+        done += 1
+
+
+def test_loss_count_matches_reference():
+    """Random swap walks, covers or not, so sets hold non-edges and pairs
+    that were co-resident long before."""
+    from helpers import random_graph
+    rng = random.Random(5)
+    done = 0
+    while done < 300:
+        n = rng.randint(3, 9)
+        k = rng.randint(1, min(4, n - 1))
+        g = random_graph(rng, n, edge_prob=rng.random())
+        if g is None:
+            continue
+        current = set(rng.sample(g.vertices, k + 1))
+        sets = [frozenset(current)]
+        for _ in range(rng.randint(0, 12)):
+            outside = [v for v in g.vertices if v not in current]
+            if not outside:
+                break
+            current.remove(rng.choice(sorted(current)))
+            current.add(rng.choice(outside))
+            sets.append(frozenset(current))
+        cov = CoverSequence(g, k, tuple(sets))
+        assert loss_count(cov) == loss_count_reference(cov)
         done += 1
 
 

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from helpers import cover_strategy_reference
 
 from radiuskit import debruijn
 from radiuskit.errors import InputError, InvalidParameterError, StructureError
@@ -273,6 +274,21 @@ def test_cover_strategy_reads_bound_sweep():
                 check = verify_cover(cov)
                 assert check.valid
                 assert check.reads <= m * n / k + 2 * (m + n) + k
+
+
+def test_cover_strategy_matches_reference():
+    for m in range(1, 13):
+        for n in range(1, 13):
+            for k in range(1, 9):
+                try:
+                    expected = cover_strategy_reference(m, n, k)
+                except InvalidParameterError as exc:
+                    with pytest.raises(InvalidParameterError) as err:
+                        cover_strategy_bipartite(m, n, k)
+                    assert str(err.value) == str(exc)
+                    continue
+                assert cover_strategy_bipartite(m, n, k).sets == expected, \
+                    (m, n, k)
 
 
 def test_cover_strategy_errors():
