@@ -255,18 +255,14 @@ def min_normalized_cycle(g, max_vertices=DEFAULT_MAX_VERTICES):
     idx = _pred_indices(k, t)
     cycle_codes, potentials = _extract_tight_cycle(k, t, cnt, idx, minimum)
     shift = t ** (k - 1)
-    symbols = tuple(int(v // shift) for v in cycle_codes)
-    total = 0
-    for i, v in enumerate(cycle_codes):
-        w = cycle_codes[(i + 1) % len(cycle_codes)]
-        total += int(cnt[v // shift][w])
+    symbols = _least_rotation(tuple(int(v // shift) for v in cycle_codes))
     length = len(cycle_codes)
-    symbols = _least_rotation(symbols)
+    # the certificate fails unless the witness weighs exactly minimum per edge
     check_certificate(k, t, minimum, potentials, symbols)
     potentials.setflags(write=False)
     return OptimalCycle(k=k, alphabet=t, symbols=symbols, length=length,
-                        total_weight=total, normalized=minimum,
-                        potentials=potentials)
+                        total_weight=int(minimum * length),
+                        normalized=minimum, potentials=potentials)
 
 
 def _howard_min_mean(k, t, cnt):
@@ -283,7 +279,9 @@ def _howard_min_mean(k, t, cnt):
     shift = t ** (k - 1)
     vertices = np.arange(size)
     base = vertices % shift * t  # u's successors are base[u] + c
-    weights = cnt[vertices // shift, base + np.arange(t)[:, None]]
+    # weights[c, u] = cnt[u // shift, base[u] + c]: with u = b*shift + j
+    # that is cnt[b, j*t + c], a strided view of cnt
+    weights = np.moveaxis(cnt.reshape(t, shift, t), 2, 0).reshape(t, size)
     rounds = max(1, (size - 1).bit_length())  # 2^rounds >= size
 
     sym = np.argmin(weights, axis=0)

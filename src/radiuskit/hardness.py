@@ -15,8 +15,7 @@ from .errors import (InputError, InvalidParameterError, VerificationError,
                      WitnessError)
 from .graphs import (Graph, attach_pendants, edge_label, hamiltonian_path,
                      line_graph, pendant_label)
-from .radius import (CoverSequence, VertexSequence, check_cover_structure,
-                     verify_cover, verify_radius)
+from .radius import CoverSequence, VertexSequence, verify_cover, verify_radius
 
 
 @dataclass(frozen=True)
@@ -252,23 +251,20 @@ def loss_count(cov):
     """Count co-residency events that cover no new edge.
 
     The newly co-resident pairs of a set are those of its newly arrived
-    members with every member (all its pairs, for the first set).  Such a
-    pair is a loss when it is not an edge, or when it was co-resident in an
-    earlier set; it cannot have been in the preceding one.  For every valid
-    cover sequence e(G) + losses = k(s-1) + C(k+1,2).
+    member with the k others, and all C(k+1,2) pairs of the first set; a
+    pair cannot have been inside the preceding set.  Such a pair is a loss
+    unless it is an edge co-resident for the first time, and each covered
+    edge has exactly one such first co-residency.  So a sequence of s >= 1
+    sets has k(s-1) + C(k+1,2) - (covered edges) losses, which for a valid
+    cover sequence gives e(G) + losses = k(s-1) + C(k+1,2).  The covered
+    edges come from `verify_cover`, which also checks the structure first.
     """
-    check_cover_structure(cov)
-    edges = cov.graph.edge_set()
-    losses = 0
-    seen = set()  # pairs co-resident in some earlier set
-    previous = frozenset()
-    for current in cov.sets:
-        pairs = {frozenset((a, b)) for a in current - previous
-                 for b in current if a != b}
-        losses += sum(pair not in edges or pair in seen for pair in pairs)
-        seen |= pairs
-        previous = current
-    return losses
+    check = verify_cover(cov)
+    if not cov.sets:
+        return 0
+    k = cov.k
+    covered = cov.graph.num_edges - len(check.uncovered)
+    return k * (len(cov.sets) - 1) + math.comb(k + 1, 2) - covered
 
 
 def find_one_cover(h):

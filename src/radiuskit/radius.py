@@ -20,7 +20,7 @@ from . import binseq, debruijn
 from .binseq import CYCLIC, LINEAR
 from .errors import (BudgetError, InputError, InvalidParameterError,
                      ParseError, StructureError, VerificationError)
-from .graphs import Graph, complete, complete_bipartite
+from .graphs import Graph, complete_bipartite
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,8 @@ def check_cover_structure(cov):
 def verify_cover(cov):
     """Check structure, then that every edge lies inside some set.
 
-    reads = length + k: the first set costs k+1 reads, each later set one.
+    reads = length + k: the first set costs k+1 reads, each later set one;
+    an empty sequence reads nothing.
     """
     check_cover_structure(cov)
     index = _vertex_index(cov.graph)
@@ -146,7 +147,7 @@ def verify_cover(cov):
     pairs = [(members[:, a], members[:, b])
              for a, b in itertools.combinations(range(width), 2)]
     uncovered = _uncovered_edges(cov.graph, index, pairs)
-    reads = len(cov.sets) + cov.k
+    reads = len(cov.sets) + cov.k if cov.sets else 0
     return CoverCheck(not uncovered, uncovered, reads)
 
 
@@ -463,12 +464,14 @@ def cover_strategy_bipartite(m, n, k):
 
 
 def maxcut_circulant(n, k):
-    """Max cut of the distance-<=k circulant: k*n - w_k(n) for k < n/2."""
+    """Max cut of the distance-<=k circulant: k*n - w_k(n) for k < n/2.
+
+    For 2k >= n the circulant is K_n, whose max cut is floor(n^2/4).
+    """
     if n < 3 or k < 1:
         raise InvalidParameterError(f"need n >= 3 and k >= 1, got {n}, {k}")
     if 2 * k >= n:
-        from .exact import exact_maxcut
-        return exact_maxcut(complete(n))
+        return n * n // 4
     return k * n - binseq.wk_exact(k, n)
 
 

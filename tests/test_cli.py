@@ -65,6 +65,11 @@ def test_verify_cover(capsys, tmp_path, k4_file):
     code, out, _ = run(capsys, ["verify", "cover", "--k", "2",
                                 "--graph", k4_file, "--seq", str(cov)])
     assert code == 0 and "reads 5" in out
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    code, out, _ = run(capsys, ["verify", "cover", "--k", "1",
+                                "--graph", k4_file, "--seq", str(empty)])
+    assert code == 1 and out.startswith("INVALID (reads 0)\n")
 
 
 def test_usage_errors(capsys, tmp_path, k4_file):
@@ -238,6 +243,10 @@ def test_maxcut_circulant(capsys):
     code, out, _ = run(capsys, ["maxcut", "circulant", "--n", "8", "--k", "2",
                                 "--brute-check"])
     assert code == 0 and "mc = 12" in out and "brute force = 12" in out
+    # 2k >= n: K_30, beyond the exact solver
+    code, out, _ = run(capsys, ["maxcut", "circulant", "--n", "30", "--k",
+                                "15"])
+    assert code == 0 and out == "mc = 225\n"
 
 
 def test_reduce_with_witness(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Tests for the weighted de Bruijn graph and minimum-cycle machinery."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -137,6 +138,18 @@ KARP_CASES = [(k, 2) for k in range(1, 13)] + [
 def test_howard_matches_karp_oracle(k, t):
     cycle = min_normalized_cycle(build_debruijn(k, t))
     assert (cycle.normalized, cycle.symbols) == karp_min_cycle(k, t)
+
+
+def test_howard_reads_weights_without_a_table():
+    # a (t, V) int64 weight table, or its index, is 2 MB at t = 512, k = 1
+    cnt = debruijn._digit_counts(1, 512)
+    tracemalloc.start()
+    try:
+        assert debruijn._howard_min_mean(1, 512, cnt) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_tight_cycle_matches_dfs_reference():

@@ -5,8 +5,11 @@ import random
 
 import pytest
 from helpers import loss_count_reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from radiuskit.errors import InputError, InvalidParameterError, WitnessError
+from radiuskit.errors import (InputError, InvalidParameterError,
+                              StructureError, WitnessError)
 from radiuskit.exact import exact_ck
 from radiuskit.graphs import Graph, complete, complete_bipartite, cycle, path
 from radiuskit.hardness import (cover1_witness_to_coverk, find_one_cover,
@@ -179,6 +182,52 @@ def test_loss_count_matches_reference():
         cov = CoverSequence(g, k, tuple(sets))
         assert loss_count(cov) == loss_count_reference(cov)
         done += 1
+
+
+def test_loss_count_empty_and_bad_structure():
+    assert loss_count(CoverSequence(complete(4), 2, ())) == 0
+    bad = CoverSequence(complete(4), 1, ({"v1", "v2"}, {"v3", "v4"}))
+    with pytest.raises(StructureError) as expected:
+        verify_cover(bad)
+    with pytest.raises(StructureError) as err:
+        loss_count(bad)
+    assert err.value.index == expected.value.index == 2
+    assert str(err.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("n, k", [(13, 2), (20, 3), (30, 3)])
+def test_loss_count_matches_reference_on_reduction_witness(n, k):
+    inst = reduce_cover1_to_coverk(cycle(n), k)
+    cov = cover1_witness_to_coverk(inst, find_one_cover(cycle(n)))
+    losses = loss_count(cov)
+    assert losses == loss_count_reference(cov)
+    assert losses == math.comb(k, 2) * (n - 1)
+
+
+@st.composite
+def swap_walks(draw):
+    """A graph on 2..8 vertices and a swap walk of (k+1)-sets over it."""
+    n = draw(st.integers(2, 8))
+    labels = [f"v{i}" for i in range(n)]
+    pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    k = draw(st.integers(1, n - 1))
+    current = set(draw(st.permutations(labels))[:k + 1])
+    sets = [frozenset(current)]
+    for _ in range(draw(st.integers(0, 15))):
+        outside = [v for v in labels if v not in current]
+        if not outside:
+            break
+        current.remove(draw(st.sampled_from(sorted(current))))
+        current.add(draw(st.sampled_from(outside)))
+        sets.append(frozenset(current))
+    return CoverSequence(Graph(labels, edges), k, tuple(sets))
+
+
+@settings(max_examples=300, deadline=None)
+@given(swap_walks())
+def test_loss_count_property(cov):
+    assert loss_count(cov) == loss_count_reference(cov)
 
 
 def test_find_one_cover():

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 from helpers import cover_strategy_reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radiuskit import debruijn
 from radiuskit.errors import InputError, InvalidParameterError, StructureError
@@ -67,6 +69,28 @@ def test_verify_radius_matches_pair_oracle():
         assert verify_radius(seq, k) == (not oracle, oracle)
 
 
+@st.composite
+def radius_cases(draw):
+    """A graph on 2..7 vertices, a sequence over it (often no longer than
+    k, sometimes empty), a mode and k."""
+    n = draw(st.integers(2, 7))
+    labels = [f"v{i}" for i in range(n)]
+    pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    items = draw(st.lists(st.sampled_from(labels), max_size=12))
+    mode = draw(st.sampled_from(("linear", "cyclic")))
+    return VertexSequence(Graph(labels, edges), items, mode), \
+        draw(st.integers(1, 8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(radius_cases())
+def test_verify_radius_property(case):
+    seq, k = case
+    oracle = _radius_oracle(seq, k)
+    assert verify_radius(seq, k) == (not oracle, oracle)
+
+
 def test_verify_radius_unknown_vertex():
     with pytest.raises(InputError):
         VertexSequence(complete(3), ("v1", "zz"))
@@ -86,6 +110,10 @@ def test_verify_cover_examples():
     with pytest.raises(StructureError) as err:
         verify_cover(CoverSequence(complete(4), 2, ({"v1", "v2"},)))
     assert err.value.index == 1
+    # no set, no reads
+    check = verify_cover(CoverSequence(k3, 1, ()))
+    assert not check.valid and check.reads == 0
+    assert check.uncovered == (("v1", "v2"), ("v1", "v3"), ("v2", "v3"))
 
 
 def test_verify_cover_matches_pair_oracle():
@@ -303,8 +331,12 @@ def test_maxcut_circulant():
     assert maxcut_circulant(5, 2) == exact_maxcut(circulant(5, 2).graph)
     assert maxcut_circulant(8, 2) == exact_maxcut(circulant(8, 2).graph)
     assert maxcut_circulant(6, 1) == 6
-    # k >= n/2 defers to the exact solver on the complete graph
+    # with 2k >= n the circulant is K_n, whose max cut is floor(n^2/4)
     assert maxcut_circulant(5, 3) == exact_maxcut(complete(5)) == 6
+    for n in range(3, 13):
+        for k in range((n + 1) // 2, n + 1):
+            assert maxcut_circulant(n, k) == exact_maxcut(complete(n))
+    assert maxcut_circulant(30, 15) == 225
 
 
 def test_sequence_io():
