@@ -16,7 +16,7 @@ import numpy as np
 
 from . import debruijn
 from .errors import (BudgetError, InputError, InvalidParameterError,
-                     ParseError, UnsupportedLengthError, VerificationError)
+                     UnsupportedLengthError, VerificationError)
 
 CYCLIC = "cyclic"
 LINEAR = "linear"
@@ -53,17 +53,6 @@ class CyclicBitString:
             raise InvalidParameterError(
                 f"symbols must lie in [0, {self.alphabet})")
         object.__setattr__(self, "symbols", tuple(int(s) for s in self.symbols))
-
-    @classmethod
-    def from_string(cls, text, alphabet=2, mode=CYCLIC):
-        if alphabet > 10:
-            raise InvalidParameterError(
-                "digit-string parsing supports alphabets up to 10 symbols")
-        try:
-            symbols = tuple(int(ch) for ch in text.strip())
-        except ValueError:
-            raise InvalidParameterError(f"non-digit symbol in {text!r}")
-        return cls(symbols, alphabet=alphabet, mode=mode)
 
     def __len__(self):
         return len(self.symbols)
@@ -380,21 +369,3 @@ def characteristic(items, sides, mode=CYCLIC):
             raise InputError(f"side of {item!r} must be 0 or 1, got {side!r}")
         symbols.append(side)
     return CyclicBitString(tuple(symbols), alphabet=2, mode=mode)
-
-
-def parse_bitstrings(text, alphabet=2, mode=CYCLIC):
-    """Parse the one-string-per-line format with # comments."""
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            out.append(CyclicBitString.from_string(line, alphabet, mode))
-        except InvalidParameterError as exc:
-            raise ParseError(str(exc), line=lineno)
-    return out
-
-
-def serialize_bitstrings(seqs):
-    return "".join(f"{seq}\n" for seq in seqs)

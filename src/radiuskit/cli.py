@@ -236,7 +236,7 @@ def _cmd_maxcut(args, out):
               "value": value}
     lines = [f"mc = {value}"]
     if args.brute_check:
-        brute = exact.exact_maxcut(graphs.circulant(args.n, args.k).graph)
+        brute = exact.exact_maxcut(graphs.circulant(args.n, args.k))
         record["brute"] = brute
         lines.append(f"brute force = {brute}")
         if brute != value:
@@ -279,7 +279,7 @@ def _cmd_reduce(args, out):
             edge_list = graphs.parse_graph(text).edges
             cov = hardness.cover1_witness_to_coverk(inst, edge_list)
             record["witness_length"] = len(cov)
-            record["losses"] = hardness.loss_count(cov)
+            record["losses"] = inst.witness_losses
             record["witness"] = radius.serialize_cover_sequence(cov)
             lines.append(f"witness length {len(cov)} (target "
                          f"{inst.target_length}), losses {record['losses']}")

@@ -37,21 +37,6 @@ def _render_symbols(symbols, alphabet):
     return ",".join(str(s) for s in symbols)
 
 
-def _parse_symbols(word, alphabet):
-    """Turn a digit string (or iterable of ints) into a tuple of symbols."""
-    if isinstance(word, str):
-        try:
-            symbols = tuple(_DIGITS.index(ch) for ch in word.lower())
-        except ValueError:
-            raise InvalidParameterError(f"invalid symbol in word {word!r}")
-    else:
-        symbols = tuple(int(s) for s in word)
-    if any(s < 0 or s >= alphabet for s in symbols):
-        raise InvalidParameterError(
-            f"word {word!r} has symbols outside alphabet of size {alphabet}")
-    return symbols
-
-
 def _check_alphabet(alphabet):
     if alphabet < 2:
         raise InvalidParameterError(
@@ -93,42 +78,6 @@ class DeBruijnGraph:
             out.append(code % t)
             code //= t
         return tuple(reversed(out))
-
-    def vertex_code(self, word):
-        symbols = _parse_symbols(word, self.alphabet)
-        if len(symbols) != self.k:
-            raise InvalidParameterError(
-                f"vertex word must have length {self.k}, got {len(symbols)}")
-        code = 0
-        for s in symbols:
-            code = code * self.alphabet + s
-        return code
-
-    def edge_endpoints(self, edge_code):
-        """Source and target vertex codes of an edge code in [0, t^(k+1))."""
-        t = self.alphabet
-        return edge_code // t, edge_code % (t ** self.k)
-
-    def edge_weight(self, edge_word):
-        """Occurrences of the first symbol among the remaining k positions."""
-        symbols = _parse_symbols(edge_word, self.alphabet)
-        if len(symbols) != self.k + 1:
-            raise InvalidParameterError(
-                f"edge word must have length {self.k + 1}, got {len(symbols)}")
-        return sum(1 for s in symbols[1:] if s == symbols[0])
-
-    def iter_edges(self):
-        """Yield (edge_word, weight) in lexicographic order."""
-        t = self.alphabet
-        for code in range(self.num_edges):
-            symbols = []
-            c = code
-            for _ in range(self.k + 1):
-                symbols.append(c % t)
-                c //= t
-            symbols.reverse()
-            weight = sum(1 for s in symbols[1:] if s == symbols[0])
-            yield _render_symbols(symbols, t), weight
 
 
 @dataclass(frozen=True)

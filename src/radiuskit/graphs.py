@@ -6,8 +6,6 @@ and preserve vertex/edge insertion order, which keeps serialization and all
 downstream tie-breaks deterministic.
 """
 
-from typing import NamedTuple
-
 from .errors import InputError, InvalidParameterError, ParseError
 
 
@@ -146,16 +144,10 @@ def cycle(n):
     return Graph(vs, list(zip(vs, vs[1:])) + [(vs[-1], vs[0])])
 
 
-class CirculantGraph(NamedTuple):
-    graph: Graph
-    complete: bool  # true when k >= n/2 collapsed the graph to K_n
-
-
 def circulant(n, k):
     """Cycle on 0..n-1 plus chords between vertices at cyclic distance <= k.
 
-    For k >= n/2 every pair is within distance, so the complete graph is
-    returned with the `complete` flag set.
+    For k >= n/2 every pair is within distance, so the graph is K_n.
     """
     if n < 3 or k < 1:
         raise InvalidParameterError(f"need n >= 3 and k >= 1, got {n}, {k}")
@@ -167,7 +159,7 @@ def circulant(n, k):
     if n % 2 == 0 and k >= n // 2:
         half = n // 2
         edges.extend((vs[i], vs[i + half]) for i in range(half))
-    return CirculantGraph(Graph(vs, edges), 2 * k >= n)
+    return Graph(vs, edges)
 
 
 def edge_label(u, v):
@@ -257,43 +249,3 @@ def serialize_graph(g):
                 f"vertex {v!r} is isolated; the edge-list format cannot "
                 f"express it")
     return "".join(f"{u} {v}\n" for u, v in g.edges)
-
-
-def hamiltonian_path(g):
-    """Some Hamiltonian path as a vertex list, or None.
-
-    Plain backtracking in label order, with an explicit stack of neighbor
-    iterators so long paths do not hit the recursion limit; meant for the
-    tiny instances the exact solvers and reduction tests deal with.  Degree
-    counts prune it without changing the answer: with two or more vertices,
-    an isolated vertex or three degree-1 vertices rule a path out, and two
-    degree-1 vertices must be its ends, so only they are tried as starts.
-    """
-    n = g.num_vertices
-    starts = sorted(g.vertices)
-    if n >= 2:
-        if any(g.degree(v) == 0 for v in starts):
-            return None
-        leaves = [v for v in starts if g.degree(v) == 1]
-        if len(leaves) >= 3:
-            return None
-        if len(leaves) == 2:
-            starts = leaves
-    for start in starts:
-        pathlist = [start]
-        used = {start}
-        stack = [iter(g.neighbors(start))]
-        while stack:
-            if len(pathlist) == n:
-                return pathlist
-            for w in stack[-1]:
-                if w not in used:
-                    used.add(w)
-                    pathlist.append(w)
-                    stack.append(iter(g.neighbors(w)))
-                    break
-            else:
-                stack.pop()
-                used.remove(pathlist.pop())
-    return None
-

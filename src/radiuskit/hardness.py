@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from .errors import (InputError, InvalidParameterError, VerificationError,
                      WitnessError)
-from .graphs import (Graph, attach_pendants, edge_label, hamiltonian_path,
-                     line_graph, pendant_label)
+from .graphs import (Graph, attach_pendants, edge_label, line_graph,
+                     pendant_label)
 from .radius import CoverSequence, VertexSequence, verify_cover, verify_radius
 
 
@@ -37,6 +37,16 @@ class CoverReductionInstance:
     fan_size: int  # N: gadget stay length
     target: Graph
     target_length: int  # m*N + (m-1)(k-1)
+
+    @property
+    def witness_losses(self):
+        """Losses of any valid cover `target_length` long: C(k,2)(m-1).
+
+        This is the identity of `loss_count` with s = target_length, and
+        `cover1_witness_to_coverk` returns only such covers.
+        """
+        return (self.k * (self.target_length - 1) + math.comb(self.k + 1, 2)
+                - self.target.num_edges)
 
 
 def check_cubic_triangle_free(g):
@@ -265,21 +275,6 @@ def loss_count(cov):
     k = cov.k
     covered = cov.graph.num_edges - len(check.uncovered)
     return k * (len(cov.sets) - 1) + math.comb(k + 1, 2) - covered
-
-
-def find_one_cover(h):
-    """A shortest 1-cover as an ordered edge list, or None.
-
-    Uses the correspondence with Hamiltonian paths in the line graph: a
-    path visiting every line-graph vertex once is an edge ordering where
-    consecutive edges are adjacent.
-    """
-    lg = line_graph(h)
-    path_labels = hamiltonian_path(lg)
-    if path_labels is None:
-        return None
-    edge_of = {edge_label(u, v): tuple(sorted((u, v))) for u, v in h.edges}
-    return [edge_of[label] for label in path_labels]
 
 
 def instance_metadata(inst):

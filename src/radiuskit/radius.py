@@ -52,6 +52,8 @@ class CoverSequence:
     sets: tuple
 
     def __post_init__(self):
+        if self.k < 1:
+            raise InvalidParameterError(f"k must be >= 1, got {self.k}")
         object.__setattr__(
             self, "sets", tuple(frozenset(str(x) for x in s) for s in self.sets))
         for s in self.sets:
@@ -482,10 +484,6 @@ def parse_vertex_sequence(text, graph, mode=LINEAR):
         line = raw.split("#", 1)[0]
         tokens.extend(line.split())
     return VertexSequence(graph, tuple(tokens), mode=mode)
-
-
-def serialize_vertex_sequence(seq):
-    return " ".join(seq.items) + "\n"
 
 
 def parse_cover_sequence(text, graph, k):

@@ -11,7 +11,7 @@ from radiuskit import debruijn
 from radiuskit.errors import InvalidParameterError, VerificationError
 from radiuskit.exact import (OPTIMAL, UNKNOWN, ExactResult, SearchBudget,
                              _Exhausted, _SearchState)
-from radiuskit.graphs import Graph, edge_label
+from radiuskit.graphs import Graph, edge_label, line_graph
 from radiuskit.radius import (CYCLIC, LINEAR, CoverSequence, VertexSequence,
                               bounds, check_cover_structure, verify_cover,
                               verify_radius)
@@ -59,6 +59,11 @@ def random_valid_cover(g, k, rng):
             sets.append(frozenset(current))
         covered.update(e for e in edges if e <= current)
     return CoverSequence(g, k, tuple(sets))
+
+
+def edge_word_weight(word):
+    """De Bruijn edge weight: occurrences of the first symbol in the rest."""
+    return word[1:].count(word[0])
 
 
 def karp_min_cycle(k, t=2):
@@ -260,10 +265,10 @@ def wk_brute_reference(k, s, t=2):
 
 
 def hamiltonian_path_reference(g):
-    """Unpruned backtracking from every start in label order.
+    """Some Hamiltonian path as a vertex list, or None.
 
-    `graphs.hamiltonian_path` as it was before its degree prunings; the
-    pruned search must return exactly what this returns.
+    Plain backtracking from every start in label order, with an explicit
+    stack of neighbor iterators; meant for the tiny graphs of the tests.
     """
     n = g.num_vertices
     for start in sorted(g.vertices):
@@ -283,6 +288,19 @@ def hamiltonian_path_reference(g):
                 stack.pop()
                 used.remove(pathlist.pop())
     return None
+
+
+def find_one_cover(h):
+    """A shortest 1-cover of h as an ordered edge list, or None.
+
+    A Hamiltonian path of the line graph is an edge ordering in which
+    consecutive edges share an endpoint.
+    """
+    path_labels = hamiltonian_path_reference(line_graph(h))
+    if path_labels is None:
+        return None
+    edge_of = {edge_label(u, v): tuple(sorted((u, v))) for u, v in h.edges}
+    return [edge_of[label] for label in path_labels]
 
 
 def line_graph_reference(g):

@@ -94,6 +94,14 @@ def test_usage_errors(capsys, tmp_path, k4_file):
     assert code == 2 and out == ""
     assert err.startswith("usage error:") and "k must be >= 1, got 0" in err
     assert "Traceback" not in err
+    singles = tmp_path / "singles.txt"
+    singles.write_text("v1\nv2\n")
+    for k in ("0", "-1"):
+        code, out, err = run(capsys, ["verify", "cover", "--k", k,
+                                      "--graph", k4_file, "--seq",
+                                      str(singles)])
+        assert code == 2 and out == ""
+        assert err == f"usage error: k must be >= 1, got {k}\n"
 
 
 def test_construct_bipartite_rejects_bad_epsilon(capsys):

@@ -85,7 +85,7 @@ def test_maxcut_identity_small_sweep():
         for k in range(1, 4):
             if 2 * k >= n:
                 continue
-            g = circulant(n, k).graph
+            g = circulant(n, k)
             assert exact_maxcut(g) == k * n - wk_exact(k, n)
 
 
@@ -188,7 +188,7 @@ def _orbits(g):
 def test_automorphism_orbits_match_reference():
     graphs = list(_oracle_graphs(13, 40))
     graphs += [cycle(7), path(6), complete_bipartite(3, 4),
-               circulant(8, 2).graph, Graph(("a", "b", "c", "d"),
+               circulant(8, 2), Graph(("a", "b", "c", "d"),
                                             (("a", "b"), ("c", "d")))]
     for g in graphs:
         assert _orbits(g) == automorphism_orbits_reference(g), g.edges

@@ -4,14 +4,12 @@ import math
 import random
 
 import pytest
-from helpers import (hamiltonian_path_reference, line_graph_reference,
-                     random_graph)
+from helpers import line_graph_reference, random_graph
 
 from radiuskit.errors import InputError, InvalidParameterError, ParseError
 from radiuskit.graphs import (Graph, attach_pendants, circulant, complete,
                               complete_bipartite, cycle, edge_label,
-                              hamiltonian_path, line_graph, parse_graph,
-                              path, serialize_graph)
+                              line_graph, parse_graph, path, serialize_graph)
 
 
 def test_generators():
@@ -37,26 +35,23 @@ def test_graph_validation():
 
 
 def test_circulant():
-    result = circulant(5, 2)
-    assert result.graph.num_edges == 10  # every pair within distance 2: K_5
-    assert all(result.graph.degree(v) == 4 for v in result.graph.vertices)
-    assert not result.complete  # the k >= n/2 clamp did not fire
-    result = circulant(8, 2)
-    assert result.graph.num_edges == 16
-    assert all(result.graph.degree(v) == 4 for v in result.graph.vertices)
-    result = circulant(6, 1)
-    g = result.graph
+    g = circulant(5, 2)
+    assert g.num_edges == 10  # every pair within distance 2: K_5
+    assert all(g.degree(v) == 4 for v in g.vertices)
+    g = circulant(8, 2)
+    assert g.num_edges == 16
+    assert all(g.degree(v) == 4 for v in g.vertices)
+    g = circulant(6, 1)
     assert g.num_edges == 6 and all(g.degree(v) == 2 for v in g.vertices)
-    result = circulant(6, 3)
-    assert result.complete and result.graph.num_edges == 15
-    result = circulant(6, 7)
-    assert result.complete and result.graph.num_edges == 15
+    for k in (3, 7):  # k >= n/2: K_6
+        g = circulant(6, k)
+        assert g.num_edges == 15 and all(g.degree(v) == 5 for v in g.vertices)
 
 
 def test_circulant_regularity_sweep():
     for n in range(5, 15):
         for k in range(1, (n - 1) // 2 + 1):
-            g = circulant(n, k).graph
+            g = circulant(n, k)
             assert g.num_edges == k * n
             assert all(g.degree(v) == 2 * k for v in g.vertices)
 
@@ -144,48 +139,6 @@ def test_parse_errors():
     assert err.value.line == 2
     with pytest.raises(InputError):
         serialize_graph(Graph(("lonely",), ()))
-
-
-def test_hamiltonian_path():
-    assert hamiltonian_path(path(4)) is not None
-    star = Graph((), [("c", "l1"), ("c", "l2"), ("c", "l3")])
-    assert hamiltonian_path(star) is None
-    found = hamiltonian_path(complete_bipartite(2, 2))
-    assert found is not None and len(found) == 4
-    long_path = path(1200)  # deeper than the default recursion limit
-    assert hamiltonian_path(long_path) == list(long_path.vertices)
-
-
-def _random_sparse_graph(rng):
-    """Trees, paths and sparse graphs, with leaves and isolated vertices."""
-    n = rng.randrange(1, 10)
-    labels = [f"w{i}" for i in range(n)]
-    rng.shuffle(labels)
-    edges = set()
-    if rng.random() < 0.5:  # a random tree plus a few chords
-        for i in range(1, n):
-            edges.add((labels[rng.randrange(i)], labels[i]))
-    for _ in range(rng.randrange(0, n + 2)):
-        u, v = rng.sample(labels, 2) if n >= 2 else (labels[0], labels[0])
-        if u != v and (v, u) not in edges:
-            edges.add((u, v))
-    return Graph(labels, sorted(edges))
-
-
-def test_hamiltonian_path_prunings_keep_answers():
-    rng = random.Random(20261018)
-    found = pruned = 0
-    for _ in range(400):
-        g = _random_sparse_graph(rng)
-        expected = hamiltonian_path_reference(g)
-        assert hamiltonian_path(g) == expected
-        found += expected is not None
-        degrees = sorted(g.degree(v) for v in g.vertices)
-        pruned += g.num_vertices >= 2 and (degrees[0] == 0 or
-                                           degrees[:3] == [1, 1, 1])
-    assert found > 50 and pruned > 50  # both branches are exercised
-    assert hamiltonian_path(Graph(("solo",), ())) == ["solo"]
-    assert hamiltonian_path(Graph(("a", "b"), ())) is None
 
 
 def test_line_graph_rejects_separator_labels():

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from helpers import loss_count_reference
+from helpers import find_one_cover, loss_count_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +12,7 @@ from radiuskit.errors import (InputError, InvalidParameterError,
                               StructureError, WitnessError)
 from radiuskit.exact import exact_ck
 from radiuskit.graphs import Graph, complete, complete_bipartite, cycle, path
-from radiuskit.hardness import (cover1_witness_to_coverk, find_one_cover,
+from radiuskit.hardness import (cover1_witness_to_coverk,
                                 hampath_witness_to_sequence, instance_metadata,
                                 loss_count, reduce_cover1_to_coverk,
                                 reduce_hampath_to_radius, serialize_metadata)
@@ -99,6 +99,7 @@ def test_cover_witness_loss_matches_formula():
         assert len(cov) == inst.target_length
         assert verify_cover(cov).valid
         assert loss_count(cov) == math.comb(k, 2) * (h.num_edges - 1)
+        assert inst.witness_losses == loss_count(cov)
 
 
 def test_cover_witness_rejects():
@@ -200,7 +201,7 @@ def test_loss_count_matches_reference_on_reduction_witness(n, k):
     inst = reduce_cover1_to_coverk(cycle(n), k)
     cov = cover1_witness_to_coverk(inst, find_one_cover(cycle(n)))
     losses = loss_count(cov)
-    assert losses == loss_count_reference(cov)
+    assert losses == loss_count_reference(cov) == inst.witness_losses
     assert losses == math.comb(k, 2) * (n - 1)
 
 
@@ -228,22 +229,6 @@ def swap_walks(draw):
 @given(swap_walks())
 def test_loss_count_property(cov):
     assert loss_count(cov) == loss_count_reference(cov)
-
-
-def test_find_one_cover():
-    assert find_one_cover(path(3)) is not None
-    cover = find_one_cover(complete(3))
-    edges = [frozenset(e) for e in cover]
-    assert len(edges) == 3 and len(set(edges)) == 3
-    for a, b in zip(edges, edges[1:]):
-        assert a & b
-
-
-def test_find_one_cover_rejects_separator_labels():
-    # labels joined by '|' collide: 'a|b c' and 'a b|c' are both 'a|b|c'
-    h = Graph((), [("a|b", "c"), ("a", "b|c"), ("c", "a")])
-    with pytest.raises(InputError):
-        find_one_cover(h)
 
 
 def test_metadata():

@@ -20,8 +20,7 @@ from radiuskit.radius import (CoverSequence, VertexSequence, bounds,
                               euler_radius1, linearize_cyclic,
                               maxcut_circulant, parse_cover_sequence,
                               parse_vertex_sequence,
-                              serialize_cover_sequence,
-                              serialize_vertex_sequence, verify_cover,
+                              serialize_cover_sequence, verify_cover,
                               verify_radius)
 
 
@@ -52,7 +51,7 @@ def _radius_oracle(seq, k):
 
 
 def test_verify_radius_matches_pair_oracle():
-    g = circulant(9, 2).graph
+    g = circulant(9, 2)
     seq = VertexSequence(g, "3 0 5 0 8 2 7 1".split())
     check = verify_radius(seq, 2)
     assert not check.valid and len(check.uncovered) >= 5
@@ -114,6 +113,10 @@ def test_verify_cover_examples():
     check = verify_cover(CoverSequence(k3, 1, ()))
     assert not check.valid and check.reads == 0
     assert check.uncovered == (("v1", "v2"), ("v1", "v3"), ("v2", "v3"))
+    # a cover needs k >= 1, as every command's --k does
+    for k in (0, -1):
+        with pytest.raises(InvalidParameterError, match=f"got {k}"):
+            CoverSequence(k3, k, ({"v1"},))
 
 
 def test_verify_cover_matches_pair_oracle():
@@ -124,7 +127,7 @@ def test_verify_cover_matches_pair_oracle():
     assert not check.valid and len(check.uncovered) == 21 - 9
     assert check.uncovered == _uncovered_oracle(g, cov.sets)
     assert check.reads == 6
-    g = circulant(10, 3).graph
+    g = circulant(10, 3)
     sets = [{"0", "1", "2", "3"}]
     for new, old in [("4", "0"), ("5", "1"), ("9", "2"), ("8", "3")]:
         sets.append(sets[-1] - {old} | {new})
@@ -175,7 +178,7 @@ def test_euler_examples():
 def test_euler_length_envelope():
     pool = [complete(4), complete(5), complete_bipartite(2, 3),
             complete_bipartite(3, 3), cycle(5), cycle(6), path(5),
-            circulant(7, 2).graph]
+            circulant(7, 2)]
     for g in pool:
         n_odd = sum(1 for v in g.vertices if g.degree(v) % 2 == 1)
         seq = euler_radius1(g)
@@ -328,8 +331,8 @@ def test_cover_strategy_errors():
 
 def test_maxcut_circulant():
     assert maxcut_circulant(5, 2) == 6
-    assert maxcut_circulant(5, 2) == exact_maxcut(circulant(5, 2).graph)
-    assert maxcut_circulant(8, 2) == exact_maxcut(circulant(8, 2).graph)
+    assert maxcut_circulant(5, 2) == exact_maxcut(circulant(5, 2))
+    assert maxcut_circulant(8, 2) == exact_maxcut(circulant(8, 2))
     assert maxcut_circulant(6, 1) == 6
     # with 2k >= n the circulant is K_n, whose max cut is floor(n^2/4)
     assert maxcut_circulant(5, 3) == exact_maxcut(complete(5)) == 6
@@ -341,9 +344,8 @@ def test_maxcut_circulant():
 
 def test_sequence_io():
     g = complete(4)
-    seq = VertexSequence(g, ("v1", "v2", "v3"))
-    text = serialize_vertex_sequence(seq)
-    assert parse_vertex_sequence(text, g).items == seq.items
+    seq = parse_vertex_sequence("v1 v2 # comment\n\nv3\n", g)
+    assert seq.items == ("v1", "v2", "v3")
     cov = CoverSequence(g, 2, ({"v1", "v2", "v3"}, {"v2", "v3", "v4"}))
     text = serialize_cover_sequence(cov)
     assert parse_cover_sequence(text, g, 2).sets == cov.sets

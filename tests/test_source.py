@@ -1,9 +1,20 @@
 """Static checks over the library source."""
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "radiuskit"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "radiuskit"
+
+# Exported package API that no module calls, each with its reason.
+PACKAGE_API = {
+    "characteristic": "the 0/1 side string of a sequence over a bipartite "
+                      "graph, whose bad pairs the bipartite bound counts",
+    "complete": "K_n, the generator beside path, cycle and complete_bipartite",
+    "linearize_cyclic": "a valid cyclic k-radius sequence of length s as a "
+                        "valid linear one of length s + k",
+}
 
 
 def _library_trees():
@@ -11,6 +22,24 @@ def _library_trees():
     assert paths
     for path in paths:
         yield path.name, ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def _loaded_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
+def _public_functions(tree):
+    """Top-level functions and methods of top-level classes, as (line, name)."""
+    for node in tree.body:
+        body = node.body if isinstance(node, ast.ClassDef) else [node]
+        for func in body:
+            if (isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not func.name.startswith("_")):
+                yield func.lineno, func.name
 
 
 def test_no_bare_assert_in_library():
@@ -28,4 +57,40 @@ def test_no_function_level_import_in_library():
                                          ast.Lambda))
                     for node in ast.walk(func)
                     if isinstance(node, (ast.Import, ast.ImportFrom))})
+    assert not found, found
+
+
+def test_every_public_function_is_reached():
+    # Reached means loaded by name in a module (re-exports in __init__ do
+    # not count), named in backticks in the README, or listed as package
+    # API.  Matching by name over-approximates reach, so this errs only
+    # toward passing.
+    trees = dict(_library_trees())
+    reached = {name for module, tree in trees.items()
+               if module != "__init__.py" for name in _loaded_names(tree)}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for span in re.findall(r"`([^`]*)`", readme):
+        reached.update(re.findall(r"\w+", span))
+    reached.update(PACKAGE_API)
+    found = [f"{module}:{line} {name}" for module, tree in trees.items()
+             for line, name in _public_functions(tree) if name not in reached]
+    assert not found, found
+
+
+def test_no_unused_import_in_library():
+    # __init__ imports only to re-export
+    found = []
+    for module, tree in _library_trees():
+        if module == "__init__.py":
+            continue
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in loaded:
+                    found.append(f"{module}:{node.lineno} {name}")
     assert not found, found
