@@ -342,6 +342,8 @@ def construct_low_bad(k, s):
     always below a_k*s + k(2^k + k); when ell divides s and s > 2k it equals
     a_k*s exactly.
     """
+    if s < 1:
+        raise InvalidParameterError(f"length must be >= 1, got {s}")
     cycle = debruijn.min_normalized_cycle(debruijn.build_debruijn(k))
     ell = cycle.length
     if s < ell:

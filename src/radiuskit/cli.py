@@ -10,6 +10,7 @@ lists round-trip through the file-format parsers.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -104,7 +105,7 @@ def _cmd_lowbad(args, out):
 def _cmd_bounds(args, out):
     g = _load_graph(args.graph)
     report = radius.bounds(g, args.k)
-    if args.bipartite and g.bipartition() is None:
+    if args.bipartite and not report.bipartite:
         raise InputError("graph is not bipartite")
     def opt_rational(x):
         return _fmt_rational(x) if x is not None else None
@@ -317,6 +318,11 @@ def _cmd_conjecture(args, out):
     return 0
 
 
+# Cached: main() may run many times in one process.  argparse makes a fresh
+# Namespace on every parse and reads sys.stdout, sys.stderr and the terminal
+# width only when it prints, so one tree serves every call; callers share it
+# and must not modify it.
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="radiuskit",

@@ -10,7 +10,7 @@ own output before returning it.
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -160,13 +160,15 @@ class BoundsReport:
     edge_bound = e/k + (k+1)/2 (cache-fill counting; needs more than k+1
     non-isolated vertices), bipartite_bound = e/(k - a_k) for bipartite graphs,
     degree_bound = sum of ceil(deg/2k).  fk_lower is the ceiling of the best
-    applicable bound.
+    applicable bound.  bipartite records whether the graph has a
+    2-colouring, whatever its edge count.
     """
 
     edge_bound: Optional[Fraction]
     bipartite_bound: Optional[Fraction]
     degree_bound: int
     fk_lower: int
+    bipartite: bool = field(compare=False)
 
 
 def bounds(g, k):
@@ -176,8 +178,9 @@ def bounds(g, k):
     edge_bound = None
     if g.non_isolated_count() > k + 1:
         edge_bound = Fraction(e, k) + Fraction(k + 1, 2)
+    bipartite = g.bipartition() is not None
     bipartite_bound = None
-    if e > 0 and g.bipartition() is not None:
+    if e > 0 and bipartite:
         try:
             a = debruijn.ak(k)
             bipartite_bound = Fraction(e) / (k - a)
@@ -190,7 +193,8 @@ def bounds(g, k):
     return BoundsReport(edge_bound=edge_bound,
                         bipartite_bound=bipartite_bound,
                         degree_bound=degree_bound,
-                        fk_lower=math.ceil(best))
+                        fk_lower=math.ceil(best),
+                        bipartite=bipartite)
 
 
 def euler_radius1(g):

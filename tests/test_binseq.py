@@ -295,6 +295,17 @@ def test_construct_low_bad():
         construct_low_bad(2, 3)
 
 
+def test_construct_low_bad_checks_length_before_the_dp(monkeypatch):
+    def no_dp(g):
+        raise AssertionError("the a_k DP ran before the length check")
+
+    monkeypatch.setattr(debruijn, "min_normalized_cycle", no_dp)
+    for s in (0, -3):
+        with pytest.raises(InvalidParameterError,
+                           match=f"length must be >= 1, got {s}"):
+            construct_low_bad(2, s)
+
+
 def test_construct_low_bad_bound_and_divisible():
     for k in (1, 2, 3, 4):
         a = debruijn.ak(k)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from radiuskit import binseq, debruijn, exact, radius
+from radiuskit import binseq, cli, debruijn, exact, radius
 from radiuskit.cli import main
 from radiuskit.errors import VerificationError
 from radiuskit.graphs import complete, complete_bipartite, parse_graph, \
@@ -364,3 +364,55 @@ def test_wk_cross_check_failure_exit(capsys, monkeypatch):
     code, out, err = run(capsys, ["wk", "--k", "2", "--s", "5"])
     assert code == 4 and out == ""
     assert err.startswith("internal error: result failed verification")
+
+
+def test_lowbad_rejects_nonpositive_length(capsys):
+    for s in ("0", "-3"):
+        code, out, err = run(capsys, ["lowbad", "--k", "2", "--s", s])
+        assert code == 2 and out == ""
+        assert err == f"usage error: length must be >= 1, got {s}\n"
+    code, out, err = run(capsys, ["lowbad", "--k", "2", "--s", "3"])
+    assert code == 1 and out == "" and err.startswith("error: need s >= 4")
+
+
+def test_bounds_bipartite_flag(capsys, tmp_path, k4_file):
+    k33 = tmp_path / "k33.edges"
+    k33.write_text(serialize_graph(complete_bipartite(3, 3)))
+    plain = run(capsys, ["bounds", "--k", "2", "--graph", str(k33)])
+    assert run(capsys, ["bounds", "--k", "2", "--graph", str(k33),
+                        "--bipartite"]) == plain
+    assert plain[0] == 0 and "bipartite cycle bound: 6" in plain[1]
+    code, out, err = run(capsys, ["bounds", "--k", "2", "--graph", k4_file,
+                                  "--bipartite"])
+    assert (code, out, err) == (1, "", "error: graph is not bipartite\n")
+    code, out, err = run(capsys, ["bounds", "--k", "0", "--graph", k4_file,
+                                  "--bipartite"])
+    assert (code, out, err) == (2, "", "usage error: k must be >= 1, got 0\n")
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch):
+    argvs = [["ak"], ["--help"], ["wk", "--help"],
+             ["wk", "--k", "4", "--s", "9", "--format", "json-lines"], ["ak"]]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    cached = cli.build_parser
+    first = [outcome(argv) for argv in argvs]
+    misses = cached.cache_info().misses
+    assert [outcome(argv) for argv in argvs] == first
+    assert first[-1] == first[0]
+    assert first[0][0] == 2 and first[0][1] == ""
+    assert "the following arguments are required: --k" in first[0][2]
+    assert first[1][0] == 0 and first[1][1].startswith("usage: radiuskit")
+    assert first[2][0] == 0 and first[2][1].startswith("usage: radiuskit wk")
+    assert first[3][0] == 0 and first[3][2] == ""
+    assert json.loads(first[3][1])["value"] == binseq.wk_exact(4, 9)
+    assert cached.cache_info().misses == misses
+    monkeypatch.setattr(cli, "build_parser", cached.__wrapped__)
+    assert [outcome(argv) for argv in argvs] == first

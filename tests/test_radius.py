@@ -1,5 +1,6 @@
 """Tests for verifiers, bounds, and the constructive sequence builders."""
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -145,6 +146,12 @@ def test_bounds_examples():
     assert report.fk_lower == 8
     report = bounds(complete(4), 2)
     assert report.edge_bound == Fraction(9, 2) and report.fk_lower == 5
+    assert bounds(complete_bipartite(3, 3), 2).bipartite
+    assert not report.bipartite and not bounds(cycle(5), 1).bipartite
+    edgeless = bounds(Graph(("a", "b", "c"), []), 1)
+    assert edgeless.bipartite and edgeless.bipartite_bound is None
+    # bipartite is read by the CLI, not part of the bounds' value
+    assert report == dataclasses.replace(report, bipartite=True)
 
 
 def test_bounds_edge_bound_applicability():
