@@ -116,40 +116,65 @@ def _rotation_distances(k, s):
     return distances, sum(s // fold for _, fold in distances)
 
 
-def _wk_brute_binary(k, s):
-    """Least bad-pair count over the binary codes 2^(s-2) to 2^(s-1) - 1.
+def _packed(values, count, t, b):
+    """Base-t numbers below t^count (an int or an array), each digit moved
+    to its own b-bit field, which for t = 2^b it already is."""
+    if t == 1 << b:
+        return values
+    packed = values % t
+    for j in range(1, count):
+        packed |= values // t ** j % t << (j * b)
+    return packed
 
-    The constant string's count less the greatest number of disagreeing
-    pairs, which is rotate-xor-popcount per distance.  Each block of
-    _BRUTE_BLOCK codes runs through the same preallocated buffers.  Codes
-    are uint32, which holds s <= 32 (BRUTE_LIMIT keeps s <= 26); a code's
-    disagreements sum to at most s * floor(s/2) <= 512, so they fit uint16.
-    At d = s/2 the xor has period s/2, so its popcount is even and halves
-    exactly.
+
+def _wk_brute_fields(k, s, t):
+    """Least bad-pair count over the codes t^(s-2) to 2*t^(s-2) - 1.
+
+    Each symbol is a b-bit field of an unsigned code, most significant
+    first, with b = (t-1).bit_length(), so a rotation by d positions
+    rotates d*b bits.  A field differs from the one d ahead when any of its
+    bits in code ^ rotated is set; ORing in b-1 right shifts flags it at
+    its lowest bit, and popcount sums the flags (halved at d = s/2, where
+    they have period s/2).  The answer is the constant string's count less
+    the largest sum.  Blocks of t^m codes OR their high digits into one
+    packed table of the m low digits, through reused buffers.  Codes are
+    uint32 up to 32 bits (uint64 ran binary 1.6-1.8x slower); sums reach
+    s*floor(s/2) <= 2048, so they fit uint16.
     """
-    if s > 32:
+    b = (t - 1).bit_length()
+    width = s * b
+    if width > 64:
         raise BudgetError(
-            f"binary enumeration holds codes in uint32, so s <= 32; got {s}")
+            f"enumeration packs {s} symbols of {b} bits into uint64 codes, "
+            f"so s*b <= 64; got {width}")
+    dtype = np.uint32 if width <= 32 else np.uint64
     distances, constant = _rotation_distances(k, s)
-    mask = (1 << s) - 1
-    low = 1 << (s - 2)
-    block = min(low, _BRUTE_BLOCK)  # both powers of 2: every block is full
-    offsets = np.arange(block, dtype=np.uint32)
-    codes = np.empty(block, dtype=np.uint32)
-    rot = np.empty_like(codes)
-    wrap = np.empty_like(codes)
-    differ = np.empty(block, dtype=np.uint8)
-    disagree = np.empty(block, dtype=np.uint16)
+    mask = (1 << width) - 1
+    lowest = sum(1 << (j * b) for j in range(s))
+    m = max(j for j in range(s - 1) if t ** j <= _BRUTE_BLOCK)
+    table = _packed(np.arange(t ** m, dtype=dtype), m, t, b)
+    lead = 1 << ((s - 2) * b)  # the leading digits 0, 1
+    codes, rot, wrap = (np.empty_like(table) for _ in range(3))
+    differ = np.empty(len(table), dtype=np.uint8)
+    disagree = np.empty(len(table), dtype=np.uint16)
     best = 0  # the constant string disagrees nowhere
-    for lo in range(low, 2 * low, block):
-        np.add(offsets, lo, out=codes)
+    for high in range(t ** (s - 2 - m)):
+        np.bitwise_or(table, lead | _packed(high, s - 2 - m, t, b) << (m * b),
+                      out=codes)
         disagree.fill(0)
         for d, fold in distances:
-            np.right_shift(codes, d, out=rot)
-            np.left_shift(codes, s - d, out=wrap)
+            np.right_shift(codes, d * b, out=rot)
+            np.left_shift(codes, width - d * b, out=wrap)
             np.bitwise_or(rot, wrap, out=rot)
             np.bitwise_and(rot, mask, out=rot)
             np.bitwise_xor(rot, codes, out=rot)
+            if b > 1:
+                # x | x >> 1 | ... | x >> (b-1), by b-1 shift-and-ORs
+                np.copyto(wrap, rot)
+                for _ in range(b - 1):
+                    np.right_shift(wrap, 1, out=wrap)
+                    np.bitwise_or(wrap, rot, out=wrap)
+                np.bitwise_and(wrap, lowest, out=rot)
             np.bitwise_count(rot, out=differ)
             if fold == 2:
                 np.right_shift(differ, 1, out=differ)
@@ -158,24 +183,11 @@ def _wk_brute_binary(k, s):
     return constant - best
 
 
-def _wk_brute_tary(k, s, t):
-    """Least bad-pair count over the base-t codes t^(s-2) to 2*t^(s-2) - 1,
-    each as a column of s digits, in blocks of _BRUTE_BLOCK codes."""
-    distances, constant = _rotation_distances(k, s)
-    low = t ** (s - 2)
-    powers = np.array([t ** (s - 1 - j) for j in range(s)],
-                      dtype=np.int64)[:, None]
-    best = 0
-    for lo in range(low, 2 * low, _BRUTE_BLOCK):
-        codes = np.arange(lo, min(lo + _BRUTE_BLOCK, 2 * low), dtype=np.int64)
-        digits = (codes // powers % t).astype(np.uint8)
-        disagree = np.zeros(len(codes), dtype=np.int64)
-        for d, fold in distances:
-            differ = np.count_nonzero(digits != np.roll(digits, -d, axis=0),
-                                      axis=0)
-            disagree += differ // fold
-        best = max(best, int(disagree.max()))
-    return constant - best
+def _brute_refusal(s, t):
+    """The error `wk_brute` raises past its cap, or None when it applies."""
+    if t ** s > BRUTE_LIMIT:
+        return BudgetError(
+            f"brute force over {t}^{s} strings exceeds the {BRUTE_LIMIT} cap")
 
 
 def wk_brute(k, s, alphabet=2):
@@ -193,15 +205,11 @@ def wk_brute(k, s, alphabet=2):
     debruijn._check_alphabet(alphabet)
     if s < 1:
         raise InvalidParameterError(f"length must be >= 1, got {s}")
-    if alphabet ** s > BRUTE_LIMIT:
-        raise BudgetError(
-            f"brute force over {alphabet}^{s} strings exceeds the "
-            f"{BRUTE_LIMIT} cap")
+    if refusal := _brute_refusal(s, alphabet):
+        raise refusal
     if s == 1:
         return 0
-    if alphabet == 2:
-        return _wk_brute_binary(k, s)
-    return _wk_brute_tary(k, s, alphabet)
+    return _wk_brute_fields(k, s, alphabet)
 
 
 def _truncated_weight_tables(k, s, t):
@@ -233,6 +241,21 @@ def _walk_work(k, s, t):
     return s * -(-starts // rows) * max(size, _WALK_BLOCK)
 
 
+def _walk_refusal(k, s, t):
+    """The error `wk_walk` raises for (k, s, t), or None when it applies."""
+    if s < k + 1:
+        return InvalidParameterError(
+            f"walk method needs s >= k+1 (got s={s}, k={k})")
+    if t ** k > debruijn.DEFAULT_MAX_VERTICES:
+        return BudgetError(
+            f"walk DP needs {t ** k} vertices, over the budget of "
+            f"{debruijn.DEFAULT_MAX_VERTICES}")
+    if (work := _walk_work(k, s, t)) > WALK_LIMIT:
+        return BudgetError(
+            f"walk DP for s = {s} updates {work} entries, over the "
+            f"{WALK_LIMIT} cap")
+
+
 def wk_walk(k, s, alphabet=2):
     """w_k(s) as the minimum-weight closed walk of length s.
 
@@ -254,20 +277,10 @@ def wk_walk(k, s, alphabet=2):
     dist[row, start_row] after s steps.
     """
     debruijn._check_alphabet(alphabet)
+    if refusal := _walk_refusal(k, s, alphabet):
+        raise refusal
     t = alphabet
-    if s < k + 1:
-        raise InvalidParameterError(
-            f"walk method needs s >= k+1 (got s={s}, k={k})")
     size = t ** k
-    if size > debruijn.DEFAULT_MAX_VERTICES:
-        raise BudgetError(
-            f"walk DP needs {size} vertices, over the budget of "
-            f"{debruijn.DEFAULT_MAX_VERTICES}")
-    work = _walk_work(k, s, t)
-    if work > WALK_LIMIT:
-        raise BudgetError(
-            f"walk DP for s = {s} updates {work} entries, over the "
-            f"{WALK_LIMIT} cap")
     weights = _truncated_weight_tables(k, s, t)
     idx = debruijn._pred_indices(k, t)
     starts = np.zeros(1, dtype=np.int64)
@@ -308,10 +321,8 @@ def wk_exact(k, s, alphabet=2, method="auto"):
     if method != "auto":
         raise InvalidParameterError(f"unknown method {method!r}")
 
-    walk_applies = (s >= k + 1
-                    and alphabet ** k <= debruijn.DEFAULT_MAX_VERTICES
-                    and _walk_work(k, s, alphabet) <= WALK_LIMIT)
-    brute_applies = alphabet ** s <= BRUTE_LIMIT
+    walk_applies = _walk_refusal(k, s, alphabet) is None
+    brute_applies = _brute_refusal(s, alphabet) is None
     if not walk_applies and not brute_applies:
         raise BudgetError(
             f"w_{k}({s}) over alphabet {alphabet} fits neither enumeration "

@@ -107,24 +107,18 @@ def _cmd_bounds(args, out):
     report = radius.bounds(g, args.k)
     if args.bipartite and not report.bipartite:
         raise InputError("graph is not bipartite")
-    def opt_rational(x):
-        return _fmt_rational(x) if x is not None else None
-
-    record = {"op": "bounds", "k": args.k,
-              "edge_bound": opt_rational(report.edge_bound),
-              "bipartite_bound": opt_rational(report.bipartite_bound),
+    edge, bipartite = (None if x is None else _fmt_rational(x)
+                       for x in (report.edge_bound, report.bipartite_bound))
+    record = {"op": "bounds", "k": args.k, "edge_bound": edge,
+              "bipartite_bound": bipartite,
               "degree_bound": report.degree_bound,
               "fk_lower": report.fk_lower}
-    lines = []
-    if report.edge_bound is not None:
-        lines.append(f"edge-count bound: {_fmt_rational(report.edge_bound)}")
-    else:
-        lines.append("edge-count bound: not applicable "
-                     "(too few non-isolated vertices)")
-    if report.bipartite_bound is not None:
-        lines.append(f"bipartite cycle bound: {_fmt_rational(report.bipartite_bound)}")
-    lines.append(f"degree bound: {report.degree_bound}")
-    lines.append(f"length lower bound: {report.fk_lower}")
+    lines = [f"edge-count bound: {edge}" if edge else
+             "edge-count bound: not applicable (too few non-isolated vertices)"]
+    if bipartite:
+        lines.append(f"bipartite cycle bound: {bipartite}")
+    lines += [f"degree bound: {report.degree_bound}",
+              f"length lower bound: {report.fk_lower}"]
     out.emit(record, lines)
     return 0
 
@@ -135,21 +129,17 @@ def _cmd_verify(args, out):
         mode = radius.CYCLIC if args.cyclic else radius.LINEAR
         seq = radius.parse_vertex_sequence(_read(args.seq), g, mode=mode)
         check = radius.verify_radius(seq, args.k)
-        record = {"op": "verify-radius", "k": args.k, "valid": check.valid,
-                  "uncovered": [list(e) for e in check.uncovered],
-                  "length": len(seq)}
-        lines = [f"{'valid' if check.valid else 'INVALID'} "
-                 f"({len(seq)} items)"]
-        lines += [f"uncovered: {u} {v}" for u, v in check.uncovered]
+        record = {"op": "verify-radius", "length": len(seq)}
+        size = f"{len(seq)} items"
     else:
         cov = radius.parse_cover_sequence(_read(args.seq), g, args.k)
         check = radius.verify_cover(cov)
-        record = {"op": "verify-cover", "k": args.k, "valid": check.valid,
-                  "uncovered": [list(e) for e in check.uncovered],
-                  "reads": check.reads}
-        lines = [f"{'valid' if check.valid else 'INVALID'} "
-                 f"(reads {check.reads})"]
-        lines += [f"uncovered: {u} {v}" for u, v in check.uncovered]
+        record = {"op": "verify-cover", "reads": check.reads}
+        size = f"reads {check.reads}"
+    record.update(k=args.k, valid=check.valid,
+                  uncovered=[list(e) for e in check.uncovered])
+    lines = [f"{'valid' if check.valid else 'INVALID'} ({size})"]
+    lines += [f"uncovered: {u} {v}" for u, v in check.uncovered]
     out.emit(record, lines)
     return 0 if check.valid else 1
 
@@ -171,12 +161,11 @@ def _cmd_construct(args, out):
         out.emit(record, lines)
     elif args.kind == "cover-bipartite":
         cov = radius.cover_strategy_bipartite(args.m, args.n, args.k)
-        check = radius.verify_cover(cov)
         record = {"op": "construct-cover-bipartite", "k": args.k,
                   "m": args.m, "n": args.n, "sets": len(cov),
-                  "reads": check.reads,
+                  "reads": cov.reads,
                   "cover": radius.serialize_cover_sequence(cov)}
-        lines = [f"{len(cov)} sets, reads {check.reads}"]
+        lines = [f"{len(cov)} sets, reads {cov.reads}"]
         lines += [" ".join(sorted(s)) for s in cov.sets]
         out.emit(record, lines)
     else:  # euler1
@@ -198,20 +187,16 @@ def _cmd_exact(args, out):
         out.emit({"op": "exact-maxcut", "value": value},
                  [f"max cut = {value}"])
         return 0
-    budget = None
-    if args.time_limit is not None:
-        # exact fk's memo is capped, so the clock alone can bound it; the
-        # A* tables of exact ck grow with its nodes, so it keeps the cap.
-        limits = {"time_limit": args.time_limit}
-        if args.kind == "fk":
-            limits["node_limit"] = sys.maxsize
-        budget = exact.SearchBudget(**limits)
+    limits = {} if args.time_limit is None else {"time_limit": args.time_limit}
     if args.kind == "fk":
+        # exact fk's memo is capped, so the clock alone can bound it
+        budget = exact.SearchBudget(node_limit=sys.maxsize, **limits)
         mode = radius.CYCLIC if args.cyclic else radius.LINEAR
         result = exact.exact_fk(g, args.k, mode=mode, budget=budget)
         name = f"f_{args.k}" + ("^cyc" if args.cyclic else "")
     else:
-        result = exact.exact_ck(g, args.k, budget=budget)
+        # the A* tables of exact ck grow with its nodes: it keeps the node cap
+        result = exact.exact_ck(g, args.k, budget=exact.SearchBudget(**limits))
         name = f"c_{args.k}"
     if not result.is_optimal:
         out.emit({"op": f"exact-{args.kind}", "k": args.k,

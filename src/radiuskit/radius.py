@@ -64,6 +64,12 @@ class CoverSequence:
     def __len__(self):
         return len(self.sets)
 
+    @property
+    def reads(self):
+        """length + k: k+1 reads for the first set and one per later set;
+        an empty sequence reads nothing."""
+        return len(self.sets) + self.k if self.sets else 0
+
 
 class RadiusCheck(NamedTuple):
     valid: bool
@@ -135,11 +141,7 @@ def check_cover_structure(cov):
 
 
 def verify_cover(cov):
-    """Check structure, then that every edge lies inside some set.
-
-    reads = length + k: the first set costs k+1 reads, each later set one;
-    an empty sequence reads nothing.
-    """
+    """Check structure, then that every edge lies inside some set."""
     check_cover_structure(cov)
     index = _vertex_index(cov.graph)
     width = cov.k + 1
@@ -149,8 +151,7 @@ def verify_cover(cov):
     pairs = [(members[:, a], members[:, b])
              for a, b in itertools.combinations(range(width), 2)]
     uncovered = _uncovered_edges(cov.graph, index, pairs)
-    reads = len(cov.sets) + cov.k if cov.sets else 0
-    return CoverCheck(not uncovered, uncovered, reads)
+    return CoverCheck(not uncovered, uncovered, cov.reads)
 
 
 @dataclass(frozen=True)

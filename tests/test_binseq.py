@@ -121,7 +121,8 @@ def test_wk_brute_matches_reference():
     """One string per rotation-and-relabelling class gives the same minimum
     as enumerating every string."""
     cases = [(k, s, 2) for s in range(2, 21) for k in range(1, 12)]
-    cases += [(k, s, t) for t, max_s in ((3, 10), (4, 7), (5, 6))
+    cases += [(k, s, t) for t, max_s in ((3, 10), (4, 7), (5, 6), (6, 5),
+                                         (7, 5), (8, 5), (9, 4))
               for s in range(2, max_s + 1) for k in range(1, 8)]
     cases += [(k, 1, t) for t in (2, 3) for k in (1, 2)]
     for k, s, t in cases:
@@ -137,9 +138,19 @@ def test_wk_brute_pinned_values():
         wk_brute(3, 27)
 
 
+def test_wk_brute_uint64_codes():
+    """t = 5, s = 11 packs 33 bits, the one case under the cap past uint32;
+    the walk DP checks it, since the oracle would visit 5^11 strings."""
+    for k in (1, 2, 3):
+        assert wk_brute(k, 11, 5) == wk_walk(k, 11, 5), k
+
+
 def test_wk_brute_binary_headroom():
-    with pytest.raises(BudgetError, match="uint32"):
-        binseq._wk_brute_binary(2, 33)
+    """Codes hold s symbols of b bits in at most 64 bits."""
+    with pytest.raises(BudgetError, match="uint64"):
+        binseq._wk_brute_fields(2, 65, 2)
+    with pytest.raises(BudgetError, match="uint64"):
+        binseq._wk_brute_fields(2, 22, 5)  # 66 bits
 
 
 def test_wk_brute_set_covers_every_string():

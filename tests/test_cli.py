@@ -182,10 +182,17 @@ def test_construct_euler(capsys, k4_file):
     assert code == 0 and "length 8" in out
 
 
-def test_construct_cover(capsys):
+def test_construct_cover(capsys, monkeypatch):
+    """The strategy verifies its cover once; reads are length + k."""
+    covers = []
+    real = radius.verify_cover
+    monkeypatch.setattr(radius, "verify_cover",
+                        lambda cov: covers.append(cov) or real(cov))
     code, out, _ = run(capsys, ["construct", "cover-bipartite", "--k", "2",
                                 "--m", "4", "--n", "5"])
-    assert code == 0 and "reads" in out
+    assert code == 0 and len(covers) == 1
+    sets = len(covers[0])
+    assert out.splitlines()[0] == f"{sets} sets, reads {sets + 2}"
 
 
 def test_exact_commands(capsys, k4_file):
@@ -222,8 +229,8 @@ def test_exact_fk_unknown_exit(capsys, tmp_path):
 
 
 def test_exact_time_limit_budgets(capsys, monkeypatch, k4_file):
-    """`--time-limit` lifts the node cap of exact fk (its memo is capped)
-    but not of exact ck (its A* tables grow with the nodes)."""
+    """exact fk has no node cap (its memo is capped), with or without
+    `--time-limit`; exact ck keeps it (its A* tables grow with the nodes)."""
     budgets = []
     for name in ("exact_fk", "exact_ck"):
         def capture(*args, real=getattr(exact, name), **kwargs):
@@ -241,10 +248,12 @@ def test_exact_time_limit_budgets(capsys, monkeypatch, k4_file):
     assert code == 0 and "c_2 = 5" in out
     assert budgets[-1] == exact.SearchBudget(time_limit=30)
     assert budgets[-1].node_limit == default.node_limit
-    for kind in ("fk", "ck"):
+    # without the flag each gets the default time limit and the same caps
+    for kind, budget in (("fk", exact.SearchBudget(node_limit=sys.maxsize)),
+                         ("ck", default)):
         code, _, _ = run(capsys, ["exact", kind, "--k", "2",
                                   "--graph", k4_file])
-        assert code == 0 and budgets[-1] is None
+        assert code == 0 and budgets[-1] == budget
 
 
 def test_maxcut_circulant(capsys):
