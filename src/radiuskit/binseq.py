@@ -58,9 +58,7 @@ class CyclicBitString:
         return len(self.symbols)
 
     def __str__(self):
-        if self.alphabet <= 10:
-            return "".join(str(s) for s in self.symbols)
-        return ",".join(str(s) for s in self.symbols)
+        return debruijn._render_symbols(self.symbols, self.alphabet)
 
 
 class BadPairReport(NamedTuple):

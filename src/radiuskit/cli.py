@@ -149,16 +149,14 @@ def _cmd_construct(args, out):
         result = radius.construct_bipartite(args.m, args.n, args.k,
                                             epsilon_hint=args.epsilon,
                                             seed=args.seed)
+        lower = _fmt_rational(result.lower_bound)
+        ratio = _fmt_float(result.ratio)
+        text = " ".join(result.sequence.items)
         record = {"op": "construct-bipartite", "k": args.k, "m": args.m,
                   "n": args.n, "length": result.length,
-                  "lower_bound": _fmt_rational(result.lower_bound),
-                  "ratio": _fmt_float(result.ratio),
-                  "sequence": " ".join(result.sequence.items)}
-        lines = [f"length {result.length}, lower bound "
-                 f"{_fmt_rational(result.lower_bound)}, "
-                 f"ratio {_fmt_float(result.ratio)}",
-                 " ".join(result.sequence.items)]
-        out.emit(record, lines)
+                  "lower_bound": lower, "ratio": ratio, "sequence": text}
+        out.emit(record, [f"length {result.length}, lower bound {lower}, "
+                          f"ratio {ratio}", text])
     elif args.kind == "cover-bipartite":
         cov = radius.cover_strategy_bipartite(args.m, args.n, args.k)
         record = {"op": "construct-cover-bipartite", "k": args.k,

@@ -88,7 +88,7 @@ def _automorphism_orbits(g, state):
     """
     vs = g.vertices
     n = len(vs)
-    index = {v: i for i, v in enumerate(vs)}
+    index = g.index
     nbrs = [[index[w] for w in g.neighbors(v)] for v in vs]
     deg = [len(a) for a in nbrs]
     parent = list(range(n))  # union-find; a root is its orbit's least vertex
@@ -407,8 +407,7 @@ def exact_maxcut(g):
         raise BudgetError(f"brute-force max cut supports n <= 24, got {n}")
     if n < 2 or g.num_edges == 0:
         return 0
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    pairs = [(idx[u], idx[v]) for u, v in g.edges]
+    pairs = g.ends.tolist()
     total = 1 << (n - 1)
     chunk = min(total, 1 << 18)
     best = 0

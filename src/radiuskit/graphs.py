@@ -6,82 +6,112 @@ and preserve vertex/edge insertion order, which keeps serialization and all
 downstream tie-breaks deterministic.
 """
 
+import numpy as np
+
 from .errors import InputError, InvalidParameterError, ParseError
 
 
 class Graph:
-    """An undirected graph without self-loops or multi-edges."""
+    """An undirected graph without self-loops or multi-edges.
 
-    __slots__ = ("_vertices", "_edges", "_adj")
+    Its core, built once and not to be modified, is the label tuple
+    `vertices`, `index` (label -> position in `vertices`) and `ends`, the
+    read-only (E, 2) int64 array of endpoint indices in edge order.  The
+    label edge tuple and the sorted neighbour tuples are built from `ends`
+    on first use.
+    """
+
+    __slots__ = ("vertices", "index", "ends", "_edges", "_adj")
 
     def __init__(self, vertices=(), edges=()):
-        adj = {str(v): set() for v in vertices}
-        edge_list = []
+        index = {}
+        for v in vertices:
+            index.setdefault(str(v), len(index))
+        ends = []
+        pairs = set()
         for u, v in edges:
             u, v = str(u), str(v)
             if u == v:
                 raise InputError(f"self-loop at {u!r}")
-            nu = adj.setdefault(u, set())
-            if v in nu:
+            a = index.setdefault(u, len(index))
+            b = index.setdefault(v, len(index))
+            # one int per unordered pair: lo < hi -> hi(hi - 1)/2 + lo
+            pair = a * (a - 1) // 2 + b if a > b else b * (b - 1) // 2 + a
+            if pair in pairs:
                 raise InputError(f"duplicate edge {u!r} {v!r}")
-            nu.add(v)
-            adj.setdefault(v, set()).add(u)
-            edge_list.append((u, v))
-        for v in adj:
-            if not v or any(ch.isspace() for ch in v):
+            pairs.add(pair)
+            ends += (a, b)
+        for v in index:
+            if v.split() != [v]:  # empty or holding whitespace
                 raise InputError(f"label {v!r} must be a non-whitespace token")
-        self._vertices = tuple(adj)
-        self._edges = tuple(edge_list)
-        self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
+        self._set(index, np.array(ends, dtype=np.int64).reshape(-1, 2))
 
-    @property
-    def vertices(self):
-        return self._vertices
+    @classmethod
+    def _from_ends(cls, vertices, ends):
+        """A graph on distinct valid labels and simple (E, 2) endpoints."""
+        g = cls.__new__(cls)
+        g._set({v: i for i, v in enumerate(vertices)}, ends)
+        return g
+
+    def _set(self, index, ends):
+        ends.flags.writeable = False
+        self.vertices, self.index, self.ends = tuple(index), index, ends
+        self._edges = self._adj = None
 
     @property
     def edges(self):
+        if self._edges is None:
+            at = self.vertices.__getitem__
+            us, vs = self.ends.T.tolist()
+            self._edges = tuple(zip(map(at, us), map(at, vs)))
         return self._edges
 
     @property
     def num_vertices(self):
-        return len(self._vertices)
+        return len(self.vertices)
 
     @property
     def num_edges(self):
-        return len(self._edges)
-
-    def has_vertex(self, v):
-        return v in self._adj
+        return len(self.ends)
 
     def has_edge(self, u, v):
-        return v in self._adj.get(u, ())
+        return v in self._adjacency().get(u, ())
 
     def edge_set(self):
         """The edges as a frozenset of 2-element frozensets, built per call."""
-        return frozenset(map(frozenset, self._edges))
+        return frozenset(map(frozenset, self.edges))
+
+    def _adjacency(self):
+        """Label -> sorted neighbour labels, built on first use."""
+        if self._adj is None:
+            vs = self.vertices
+            nbrs = [[] for _ in vs]
+            for a, b in self.ends.tolist():
+                nbrs[a].append(vs[b])
+                nbrs[b].append(vs[a])
+            self._adj = {v: tuple(sorted(ns)) for v, ns in zip(vs, nbrs)}
+        return self._adj
 
     def neighbors(self, v):
-        if v not in self._adj:
+        if v not in self.index:
             raise InputError(f"unknown vertex {v!r}")
-        return self._adj[v]
+        return self._adjacency()[v]
 
     def degree(self, v):
         return len(self.neighbors(v))
 
-    def non_isolated_count(self):
-        return sum(1 for v in self._vertices if self._adj[v])
-
     def bipartition(self):
         """BFS 2-coloring as a dict label -> 0/1, or None if an odd cycle."""
+        adj = self._adjacency()
         color = {}
-        for root in self._vertices:
+        for root in self.vertices:
             if root in color:
                 continue
             color[root] = 0
             queue = [root]
             while queue:
                 u = queue.pop()
-                for w in self._adj[u]:
+                for w in adj[u]:
                     if w not in color:
                         color[w] = 1 - color[u]
                         queue.append(w)
@@ -90,25 +120,26 @@ class Graph:
         return color
 
     def is_connected(self):
-        if not self._vertices:
+        if not self.vertices:
             return True
-        seen = {self._vertices[0]}
-        stack = [self._vertices[0]]
+        adj = self._adjacency()
+        seen = {self.vertices[0]}
+        stack = [self.vertices[0]]
         while stack:
-            for w in self._adj[stack.pop()]:
+            for w in adj[stack.pop()]:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        return len(seen) == len(self._vertices)
+        return len(seen) == len(self.vertices)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return (self._adj.keys() == other._adj.keys()
+        return (self.index.keys() == other.index.keys()
                 and self.edge_set() == other.edge_set())
 
     def __hash__(self):
-        return hash((frozenset(self._vertices), self.edge_set()))
+        return hash((frozenset(self.vertices), self.edge_set()))
 
     def __repr__(self):
         return (f"Graph({self.num_vertices} vertices, "
@@ -127,7 +158,10 @@ def complete_bipartite(m, n):
         raise InvalidParameterError(f"need m, n >= 1, got {m}, {n}")
     xs = [f"x{i}" for i in range(1, m + 1)]
     ys = [f"y{j}" for j in range(1, n + 1)]
-    return Graph(xs + ys, [(x, y) for x in xs for y in ys])
+    ends = np.empty((m * n, 2), dtype=np.int64)
+    ends[:, 0] = np.repeat(np.arange(m), n)
+    ends[:, 1] = np.tile(np.arange(m, m + n), m)
+    return Graph._from_ends(xs + ys, ends)
 
 
 def path(n):
@@ -210,7 +244,7 @@ def attach_pendants(g, count):
     for v in g.vertices:
         for j in range(1, count + 1):
             leaf = pendant_label(v, j)
-            if g.has_vertex(leaf):
+            if leaf in g.index:
                 raise InputError(f"pendant label {leaf!r} collides with a vertex")
             vertices.append(leaf)
             edges.append((v, leaf))
@@ -243,9 +277,8 @@ def serialize_graph(g):
 
     Isolated vertices are not expressible in this format and are rejected.
     """
-    for v in g.vertices:
-        if g.degree(v) == 0:
-            raise InputError(
-                f"vertex {v!r} is isolated; the edge-list format cannot "
-                f"express it")
+    degrees = np.bincount(g.ends.ravel(), minlength=g.num_vertices)
+    for v in np.flatnonzero(degrees == 0)[:1].tolist():
+        raise InputError(f"vertex {g.vertices[v]!r} is isolated; the "
+                         f"edge-list format cannot express it")
     return "".join(f"{u} {v}\n" for u, v in g.edges)

@@ -280,27 +280,18 @@ def loss_count(cov):
 def instance_metadata(inst):
     """Sidecar metadata for a serialized instance (JSON-ready dict)."""
     if isinstance(inst, RadiusReductionInstance):
-        return {
-            "reduction": "ham-radius",
-            "k": inst.k,
-            "threshold": inst.threshold,
-            "source_vertices": inst.source.num_vertices,
-            "source_edges": inst.source.num_edges,
-            "target_vertices": inst.target.num_vertices,
-            "target_edges": inst.target.num_edges,
-        }
-    if isinstance(inst, CoverReductionInstance):
-        return {
-            "reduction": "cover1-coverk",
-            "k": inst.k,
-            "fan_size": inst.fan_size,
-            "target_length": inst.target_length,
-            "source_vertices": inst.source.num_vertices,
-            "source_edges": inst.source.num_edges,
-            "target_vertices": inst.target.num_vertices,
-            "target_edges": inst.target.num_edges,
-        }
-    raise InvalidParameterError(f"unknown instance type {type(inst).__name__}")
+        meta = {"reduction": "ham-radius", "threshold": inst.threshold}
+    elif isinstance(inst, CoverReductionInstance):
+        meta = {"reduction": "cover1-coverk", "fan_size": inst.fan_size,
+                "target_length": inst.target_length}
+    else:
+        raise InvalidParameterError(
+            f"unknown instance type {type(inst).__name__}")
+    return dict(meta, k=inst.k,
+                source_vertices=inst.source.num_vertices,
+                source_edges=inst.source.num_edges,
+                target_vertices=inst.target.num_vertices,
+                target_edges=inst.target.num_edges)
 
 
 def serialize_metadata(inst):

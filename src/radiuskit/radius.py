@@ -10,6 +10,7 @@ own output before returning it.
 import itertools
 import math
 import random
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -36,7 +37,7 @@ class VertexSequence:
             raise InvalidParameterError(f"unknown mode {self.mode!r}")
         object.__setattr__(self, "items", tuple(str(x) for x in self.items))
         for x in self.items:
-            if not self.graph.has_vertex(x):
+            if x not in self.graph.index:
                 raise InputError(f"sequence refers to unknown vertex {x!r}")
 
     def __len__(self):
@@ -58,7 +59,7 @@ class CoverSequence:
             self, "sets", tuple(frozenset(str(x) for x in s) for s in self.sets))
         for s in self.sets:
             for x in s:
-                if not self.graph.has_vertex(x):
+                if x not in self.graph.index:
                     raise InputError(f"cover set refers to unknown vertex {x!r}")
 
     def __len__(self):
@@ -82,47 +83,42 @@ class CoverCheck(NamedTuple):
     reads: int
 
 
-def _uncovered_edges(graph, index, pairs):
+def _uncovered_edges(graph, pairs):
     """Sorted edges of graph that no (u, v) index-array pair in pairs covers.
 
     A pair is coded min*V + max over V vertex indices, which fits int64 for
     V < 3e9; a pair u == v codes no edge, since graphs have no self-loops.
     """
-    size = len(index)
+    size = graph.num_vertices
 
     def code(u, v):
         return np.minimum(u, v) * size + np.maximum(u, v)
 
     # the -1 sentinel lies below every code, so each edge code finds the
     # largest covered code not above it
-    covered = np.sort(np.concatenate(
-        [np.full(1, -1, dtype=np.int64)] + [code(u, v) for u, v in pairs]))
-    ends = np.fromiter((index[w] for e in graph.edges for w in e),
-                       dtype=np.int64, count=2 * graph.num_edges)
-    edge_codes = code(ends[0::2], ends[1::2])
+    covered = np.concatenate(
+        [np.full(1, -1, dtype=np.int64)] + [code(u, v) for u, v in pairs])
+    covered.sort()
+    edge_codes = code(graph.ends[:, 0], graph.ends[:, 1])
     found = covered[np.searchsorted(covered, edge_codes, side="right") - 1]
-    missing = np.flatnonzero(found != edge_codes)
-    return tuple(sorted(tuple(sorted(graph.edges[i]))
-                        for i in missing.tolist()))
-
-
-def _vertex_index(graph):
-    return {v: i for i, v in enumerate(graph.vertices)}
+    vs = graph.vertices
+    missing = graph.ends[found != edge_codes].tolist()
+    return tuple(sorted(tuple(sorted((vs[a], vs[b]))) for a, b in missing))
 
 
 def verify_radius(seq, k):
     """Check that every edge's endpoints appear within distance k."""
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
-    index = _vertex_index(seq.graph)
     s = len(seq.items)
-    at = np.fromiter((index[x] for x in seq.items), dtype=np.int64, count=s)
+    at = np.fromiter(map(seq.graph.index.__getitem__, seq.items),
+                     dtype=np.int64, count=s)
     span = min(k, s - 1)
     if seq.mode == LINEAR:
         pairs = [(at[:s - d], at[d:]) for d in range(1, span + 1)]
     else:
         pairs = [(at, np.roll(at, -d)) for d in range(1, span + 1)]
-    uncovered = _uncovered_edges(seq.graph, index, pairs)
+    uncovered = _uncovered_edges(seq.graph, pairs)
     return RadiusCheck(not uncovered, uncovered)
 
 
@@ -143,14 +139,14 @@ def check_cover_structure(cov):
 def verify_cover(cov):
     """Check structure, then that every edge lies inside some set."""
     check_cover_structure(cov)
-    index = _vertex_index(cov.graph)
+    index = cov.graph.index
     width = cov.k + 1
     members = np.fromiter((index[x] for s in cov.sets for x in s),
                           dtype=np.int64, count=len(cov.sets) * width)
     members = members.reshape(len(cov.sets), width)
     pairs = [(members[:, a], members[:, b])
              for a, b in itertools.combinations(range(width), 2)]
-    uncovered = _uncovered_edges(cov.graph, index, pairs)
+    uncovered = _uncovered_edges(cov.graph, pairs)
     return CoverCheck(not uncovered, uncovered, cov.reads)
 
 
@@ -176,8 +172,9 @@ def bounds(g, k):
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
     e = g.num_edges
+    degrees = np.bincount(g.ends.ravel(), minlength=g.num_vertices)
     edge_bound = None
-    if g.non_isolated_count() > k + 1:
+    if np.count_nonzero(degrees) > k + 1:
         edge_bound = Fraction(e, k) + Fraction(k + 1, 2)
     bipartite = g.bipartition() is not None
     bipartite_bound = None
@@ -187,7 +184,7 @@ def bounds(g, k):
             bipartite_bound = Fraction(e) / (k - a)
         except BudgetError:
             bipartite_bound = None
-    degree_bound = sum(math.ceil(g.degree(v) / (2 * k)) for v in g.vertices)
+    degree_bound = int((-(-degrees // (2 * k))).sum())  # sum of ceilings
     candidates = [b for b in (edge_bound, bipartite_bound,
                               Fraction(degree_bound)) if b is not None]
     best = max(candidates, default=Fraction(0))
@@ -212,52 +209,38 @@ def euler_radius1(g):
     if not g.is_connected():
         raise InputError("graph must be connected")
 
+    # edge ids below g.num_edges are real; the rest pair up odd vertices
+    real = g.num_edges
+    odd = sorted(v for v in g.vertices if g.degree(v) % 2 == 1)
     adj = {v: [] for v in g.vertices}
-    kinds = []
-    for eid, (u, v) in enumerate(g.edges):
+    for eid, (u, v) in enumerate(g.edges + tuple(zip(odd[0::2], odd[1::2]))):
         adj[u].append((v, eid))
         adj[v].append((u, eid))
-        kinds.append(True)  # real edge
-    odd = sorted(v for v in g.vertices if g.degree(v) % 2 == 1)
-    for a, b in zip(odd[0::2], odd[1::2]):
-        eid = len(kinds)
-        adj[a].append((b, eid))
-        adj[b].append((a, eid))
-        kinds.append(False)  # auxiliary pairing edge
-    for v in adj:
-        adj[v].sort()
+    for ns in adj.values():
+        ns.sort()
 
     # Hierholzer, iterative; records the edge ids along the circuit.
-    start = g.vertices[0]
-    used = [False] * len(kinds)
+    used = [False] * (real + len(odd) // 2)
     ptr = {v: 0 for v in adj}
-    stack = [(start, None)]
+    stack = [(g.vertices[0], None)]
     circuit = []  # (vertex, edge id leading into it)
     while stack:
-        v, via = stack[-1]
-        advanced = False
+        v = stack[-1][0]
         while ptr[v] < len(adj[v]):
             w, eid = adj[v][ptr[v]]
             ptr[v] += 1
             if not used[eid]:
                 used[eid] = True
                 stack.append((w, eid))
-                advanced = True
                 break
-        if not advanced:
+        else:
             circuit.append(stack.pop())
-    circuit.reverse()  # (vertex, incoming edge id), circuit[0][1] is None
-
-    verts = [v for v, _ in circuit]
-    in_edge = [e for _, e in circuit]
-    if verts[0] != verts[-1] or len(verts) != len(kinds) + 1:
+    # (vertex, incoming edge id) in walk order; the first edge id is None
+    verts, in_edge = zip(*reversed(circuit))
+    if verts[0] != verts[-1] or len(verts) != len(used) + 1:
         raise VerificationError("euler circuit is not closed over every edge")
 
-    cut = None
-    for i in range(1, len(verts)):
-        if not kinds[in_edge[i]]:
-            cut = i
-            break
+    cut = next((i for i in range(1, len(verts)) if in_edge[i] >= real), None)
     if cut is None:
         items = verts  # Eulerian: closed walk, start repeated; length m+1
     else:
@@ -306,6 +289,18 @@ class BipartiteConstruction(NamedTuple):
     blocks_used: int
 
 
+# Cap on the m*n vertex pairs of K_{m,n} for both bipartite constructions,
+# checked before anything is allocated; README times m = n = 5000.
+MAX_BIPARTITE_PAIRS = 5000 * 5000
+
+
+def _check_pair_budget(m, n):
+    if m * n > MAX_BIPARTITE_PAIRS:
+        raise BudgetError(
+            f"K_{{{m},{n}}} has {m * n} vertex pairs, above the cap of "
+            f"{MAX_BIPARTITE_PAIRS}")
+
+
 def construct_bipartite(m, n, k, epsilon_hint=0.5, seed=0):
     """A verified k-radius sequence for the complete bipartite graph.
 
@@ -325,6 +320,7 @@ def construct_bipartite(m, n, k, epsilon_hint=0.5, seed=0):
     if not 0 < eps < math.inf:
         raise InvalidParameterError(
             f"epsilon must be finite and > 0, got {epsilon_hint}")
+    _check_pair_budget(m, n)
     if m == 0 or n == 0:
         vs = [f"x{i}" for i in range(1, m + 1)] + \
              [f"y{j}" for j in range(1, n + 1)]
@@ -332,8 +328,13 @@ def construct_bipartite(m, n, k, epsilon_hint=0.5, seed=0):
         seq = VertexSequence(g, (), mode=LINEAR)
         return BipartiteConstruction(seq, 0, Fraction(0), 0.0, None, 0)
 
-    g = complete_bipartite(m, n)
+    # a_k first: its vertex cap refuses a large k before K_{m,n} is built
     opt = debruijn.min_normalized_cycle(debruijn.build_debruijn(k))
+    # the int8 slot scores below lie in [-(k + 1), k], the least after the
+    # used-in-block offset; a_k's vertex cap keeps k far below this today
+    if 2 * k + 1 > np.iinfo(np.int8).max:
+        raise BudgetError(f"k = {k} overflows the int8 slot scores")
+    g = complete_bipartite(m, n)
     a = opt.normalized
     lower = Fraction(m * n) / (k - a)
 
@@ -352,59 +353,72 @@ def construct_bipartite(m, n, k, epsilon_hint=0.5, seed=0):
             block = _make_pattern_block(k, q, opt.symbols,
                                         rng.randrange(opt.length))
 
-    # Vertices are indices: x_i -> i-1 and y_j -> m+j-1, the order of
-    # g.vertices.  covered[i, j] marks the pair x_{i+1} y_{j+1}; covered_t is
-    # its transpose, so scoring either side sums whole contiguous rows.
-    covered = np.zeros((m, n), dtype=bool)
-    covered_t = np.zeros((n, m), dtype=bool)
+    # Vertices are indices x_i -> i-1, y_j -> m+j-1 (g.vertices order); side
+    # 0 is X, side 1 is Y.  rows[0][i, j] = rows[1][j, i] = 1 while pair
+    # x_{i+1} y_{j+1} is open.  score[s][i] counts the distinct window
+    # vertices open with vertex i of side s: entering or leaving the window
+    # adds or subtracts a row, and covering a pair decrements each endpoint
+    # whose partner is in the window.  Memoryviews reach single entries
+    # faster than numpy scalars, and refuse values outside int8.
+    rows = (np.ones((m, n), dtype=np.int8), np.ones((n, m), dtype=np.int8))
+    score = [np.zeros(m, dtype=np.int8), np.zeros(n, dtype=np.int8)]
+    open_ = tuple(map(memoryview, rows))
+    score_at = tuple(map(memoryview, score))
+    offset = (0, m)
+    in_window = [0] * (m + n)  # occurrences of each vertex in the window
     remaining = m * n
-    items = []
+    items = array("q")  # 8 bytes a slot, against 36 in a list of ints
 
     def append(v):
         """Append a vertex, marking pairs formed within the last k slots."""
         nonlocal remaining
+        s = int(v >= m)
+        i = v - offset[s]
         for w in items[-k:]:
-            if (v < m) == (w < m):
+            if (w >= m) == s:
                 continue
-            i, j = (v, w - m) if v < m else (w, v - m)
-            if not covered[i, j]:
-                covered[i, j] = covered_t[j, i] = True
+            j = w - offset[1 - s]
+            if open_[s][i, j]:
+                open_[s][i, j] = open_[1 - s][j, i] = 0
                 remaining -= 1
+                score_at[s][i] -= 1
+                if in_window[v]:
+                    score_at[1 - s][j] -= 1
         items.append(v)
+        in_window[v] += 1
+        if in_window[v] == 1:
+            score[1 - s] += rows[s][i]
+        if len(items) > k:
+            u = items[-k - 1]
+            in_window[u] -= 1
+            if not in_window[u]:
+                t = int(u >= m)
+                score[1 - t] -= rows[t][u - offset[t]]
 
     blocks_used = 0
     if block is not None:
         pattern = [int(ch) for ch in block.pattern]
+        used = k + 1  # offset marking a vertex used in this block
         while remaining > 0:
             before = remaining
-            used_x, used_y = np.zeros(m, dtype=bool), np.zeros(n, dtype=bool)
+            chosen = []
             for sym in pattern:
-                window = items[-k:]
-                # score of each candidate: uncovered pairs with the distinct
-                # opposite-side vertices of the window; used ones score -1,
-                # so argmax picks the lowest unused index among the best
-                if sym == 0:
-                    others = list({w - m for w in window if w >= m})
-                    rows, used, offset = covered_t, used_x, 0
-                else:
-                    others = list({w for w in window if w < m})
-                    rows, used, offset = covered, used_y, m
-                score = len(others) - rows[others].sum(axis=0)
-                score[used] = -1
-                best = int(score.argmax())
-                if score[best] < 0:
-                    break
-                used[best] = True
-                append(best + offset)
-            gain = before - remaining
+                # the lowest unused index among the best: used ones score
+                # below 0, and c0 <= m, c1 <= n leave an unused one
+                best = int(score[sym].argmax())
+                score_at[sym][best] -= used
+                chosen.append((sym, best))
+                append(best + offset[sym])
+            for sym, best in chosen:
+                score_at[sym][best] += used
             blocks_used += 1
             # stop once a block stops beating the sweep's 1 pair per 2 slots
-            if gain * 2 < len(pattern):
+            if (before - remaining) * 2 < len(pattern):
                 break
 
-    open_x, open_y = np.nonzero(~covered)
+    open_x, open_y = np.nonzero(rows[0])
     for i, j in zip(open_x.tolist(), open_y.tolist()):
-        if covered[i, j]:
+        if not open_[0][i, j]:
             continue
         x, y = i, m + j
         window = items[-k:]
@@ -416,7 +430,8 @@ def construct_bipartite(m, n, k, epsilon_hint=0.5, seed=0):
             append(x)
             append(y)
 
-    seq = VertexSequence(g, tuple(g.vertices[v] for v in items), mode=LINEAR)
+    seq = VertexSequence(g, tuple(map(g.vertices.__getitem__, items)),
+                         mode=LINEAR)
     check = verify_radius(seq, k)
     if not check.valid:
         raise VerificationError(
@@ -439,9 +454,9 @@ def cover_strategy_bipartite(m, n, k):
     if m + n <= k + 1:
         raise InvalidParameterError(
             f"need m + n > k + 1 (got {m}+{n} vs k={k})")
+    _check_pair_budget(m, n)
     g = complete_bipartite(m, n)
-    xs = [f"x{i}" for i in range(1, m + 1)]
-    ys = [f"y{j}" for j in range(1, n + 1)]
+    xs, ys = g.vertices[:m], g.vertices[m:]
 
     if m < k:
         # Window of k+1-m Y-vertices slides while all of X stays resident.

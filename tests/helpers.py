@@ -3,6 +3,7 @@
 import heapq
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -630,3 +631,81 @@ def cover_strategy_reference(m, n, k):
         held = set(group)
         last_y = ys[n - 1]
     return tuple(sets)
+
+
+def construct_bipartite_reference(m, n, k, epsilon_hint=0.5, seed=0):
+    """Test oracle: the vertex indices and block count of
+    `radius.construct_bipartite` as it chose them before its slot scores
+    were kept up to date: each slot sums the window's covered rows.
+
+    Vertices are indices, x_i -> i-1 and y_j -> m+j-1; m, n >= 1.
+    """
+    opt = debruijn.min_normalized_cycle(debruijn.build_debruijn(k))
+    a = opt.normalized
+    q = math.ceil(min((1 + epsilon_hint) / epsilon_hint * (k * (k + 1)) /
+                      (opt.length * float(k - a)),
+                      (2 * min(m, n)) // opt.length))
+    pattern = None
+    if q >= 1:
+        zeros = opt.symbols.count(0)
+        ones = opt.length - zeros
+        while q >= 1 and (q * zeros > m or q * ones > n):
+            q -= 1
+        if q >= 1 and q * opt.length > 2 * k:
+            phase = random.Random(seed).randrange(opt.length)
+            pattern = (opt.symbols[phase:] + opt.symbols[:phase]) * q
+
+    covered = np.zeros((m, n), dtype=bool)
+    covered_t = np.zeros((n, m), dtype=bool)
+    remaining = m * n
+    items = []
+
+    def append(v):
+        nonlocal remaining
+        for w in items[-k:]:
+            if (v < m) == (w < m):
+                continue
+            i, j = (v, w - m) if v < m else (w, v - m)
+            if not covered[i, j]:
+                covered[i, j] = covered_t[j, i] = True
+                remaining -= 1
+        items.append(v)
+
+    blocks_used = 0
+    if pattern is not None:
+        while remaining > 0:
+            before = remaining
+            used_x, used_y = np.zeros(m, dtype=bool), np.zeros(n, dtype=bool)
+            for sym in pattern:
+                window = items[-k:]
+                if sym == 0:
+                    others = list({w - m for w in window if w >= m})
+                    rows, used, offset = covered_t, used_x, 0
+                else:
+                    others = list({w for w in window if w < m})
+                    rows, used, offset = covered, used_y, m
+                score = len(others) - rows[others].sum(axis=0)
+                score[used] = -1
+                best = int(score.argmax())
+                if score[best] < 0:
+                    break
+                used[best] = True
+                append(best + offset)
+            blocks_used += 1
+            if (before - remaining) * 2 < len(pattern):
+                break
+
+    open_x, open_y = np.nonzero(~covered)
+    for i, j in zip(open_x.tolist(), open_y.tolist()):
+        if covered[i, j]:
+            continue
+        x, y = i, m + j
+        window = items[-k:]
+        if x in window:
+            append(y)
+        elif y in window:
+            append(x)
+        else:
+            append(x)
+            append(y)
+    return tuple(items), blocks_used

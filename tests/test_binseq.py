@@ -329,6 +329,19 @@ def test_construct_low_bad_bound_and_divisible():
                 assert bad == a * s
 
 
+def test_string_rendering_is_the_ak_rule():
+    # one rule for every alphabet, the one `ak --alphabet t` prints cycles
+    # with: a digit or letter per symbol up to 36 symbols, commas beyond
+    assert str(CyclicBitString((10, 3, 0, 11), alphabet=12)) == "a30b"
+    assert str(CyclicBitString((10, 3, 0), alphabet=40)) == "10,3,0"
+    assert str(CyclicBitString((1, 0, 0), alphabet=2)) == "100"
+    for symbols, t in (((10, 3, 0, 11), 12), ((35, 0), 36), ((36, 1), 37)):
+        assert (str(CyclicBitString(symbols, alphabet=t))
+                == debruijn._render_symbols(symbols, t))
+    cycle = debruijn.min_normalized_cycle(debruijn.build_debruijn(2, 12))
+    assert str(CyclicBitString(cycle.symbols, alphabet=12)) == cycle.word
+
+
 def test_characteristic():
     seq = characteristic(["x1", "y1", "x2"], {"x1": 0, "x2": 0, "y1": 1})
     assert str(seq) == "010"

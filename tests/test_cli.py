@@ -2,6 +2,7 @@
 
 import json
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -126,6 +127,27 @@ def test_construction_self_check_failure_exit(capsys, monkeypatch):
 def test_budget_exit(capsys):
     code, _, err = run(capsys, ["ak", "--k", "25"])
     assert code == 3 and "budget" in err
+
+
+def test_bipartite_pair_budget_exit(capsys, monkeypatch):
+    # K_{10^6,10^6} is refused on its pair count, before a_k or the graph
+    def unreachable(*args):
+        raise AssertionError("ran past the pair budget")
+
+    monkeypatch.setattr(radius, "complete_bipartite", unreachable)
+    monkeypatch.setattr(debruijn, "min_normalized_cycle", unreachable)
+    cap = radius.MAX_BIPARTITE_PAIRS
+    assert cap >= 5000 * 5000
+    for kind in ("bipartite", "cover-bipartite"):
+        tracemalloc.start()
+        code, out, err = run(capsys, ["construct", kind, "--k", "4",
+                                      "--m", "1000000", "--n", "1000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert code == 3 and out == ""
+        assert err == (f"budget exhausted: K_{{1000000,1000000}} has "
+                       f"{10 ** 12} vertex pairs, above the cap of {cap}\n")
+        assert peak < 1 << 20
 
 
 # `ak --k 13/14 --cycle` and `conjecture --max-k 14` as the Karp DP printed

@@ -1,11 +1,13 @@
-"""Property tests for `Graph` lookups and the edge-list format."""
+"""Property tests for `Graph` lookups, its index core and the edge-list
+format."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radiuskit.errors import ParseError
-from radiuskit.graphs import Graph, parse_graph, serialize_graph
+from radiuskit.graphs import (Graph, complete_bipartite, parse_graph,
+                              serialize_graph)
 
 LABELS = st.text(alphabet="abxy019_^[],|", min_size=1, max_size=3)
 EDGE_LISTS = st.lists(
@@ -40,6 +42,42 @@ def test_lookups_agree_with_plain_edge_set(vertices, edges):
     if g.edges:
         assert Graph(g.vertices, g.edges[1:]) != g
     assert Graph(g.vertices + ("isolated",), g.edges) != g
+
+
+@PROPERTY
+@given(st.lists(LABELS, unique=True, max_size=6), EDGE_LISTS)
+def test_index_core_matches_labels(vertices, edges):
+    g = Graph(vertices, edges)
+    assert list(g.index) == list(g.vertices)
+    assert list(g.index.values()) == list(range(g.num_vertices))
+    assert g.ends.shape == (g.num_edges, 2) and not g.ends.flags.writeable
+    assert g.ends.tolist() == [[g.index[u], g.index[v]] for u, v in g.edges]
+    assert g.edges == tuple((str(u), str(v)) for u, v in edges)
+    # the lazily built adjacency against plain neighbour sets
+    plain = {v: set() for v in g.vertices}
+    for u, v in edges:
+        plain[u].add(v)
+        plain[v].add(u)
+    for u in g.vertices:
+        assert g.neighbors(u) == tuple(sorted(plain[u]))
+        assert g.degree(u) == len(plain[u])
+        for v in g.vertices:
+            assert g.has_edge(u, v) == (v in plain[u])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 9))
+def test_complete_bipartite_equals_label_built(m, n):
+    g = complete_bipartite(m, n)
+    xs = [f"x{i}" for i in range(1, m + 1)]
+    ys = [f"y{j}" for j in range(1, n + 1)]
+    labelled = Graph(xs + ys, [(x, y) for x in xs for y in ys])
+    assert g == labelled and hash(g) == hash(labelled)
+    assert g.vertices == labelled.vertices and g.edges == labelled.edges
+    assert g.index == labelled.index
+    assert g.ends.tolist() == labelled.ends.tolist()
+    assert g.ends.dtype == labelled.ends.dtype
+    assert not g.ends.flags.writeable
 
 
 @PROPERTY

@@ -7,12 +7,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import cover_strategy_reference
+from helpers import construct_bipartite_reference, cover_strategy_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radiuskit import debruijn
-from radiuskit.errors import InputError, InvalidParameterError, StructureError
+from radiuskit import debruijn, radius
+from radiuskit.errors import (BudgetError, InputError, InvalidParameterError,
+                              StructureError)
 from radiuskit.exact import exact_fk, exact_maxcut
 from radiuskit.graphs import (Graph, circulant, complete, complete_bipartite,
                               cycle, path)
@@ -262,6 +263,47 @@ def test_construct_bipartite_pinned_outputs():
         text = " ".join(result.sequence.items)
         assert (result.blocks_used, hashlib.sha256(text.encode()).hexdigest()
                 ) == (blocks_used, digest), (m, n, k, eps, seed)
+
+
+def test_construct_bipartite_matches_reference():
+    # the slot scores kept up to date choose what summing the window's rows
+    # chose: the pins plus 240 seeded shapes, a third of them lopsided
+    rng = random.Random(14)
+    cases = [pin[:5] for pin in CONSTRUCT_PINS]
+    for i in range(240):
+        m, n = rng.randint(1, 45), rng.randint(1, 45)
+        if i % 3 == 0:
+            m, n = (m, rng.randint(1, 4))[::rng.choice((1, -1))]
+        cases.append((m, n, rng.randint(1, 7),
+                      rng.choice((0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 3.0)),
+                      rng.randrange(10)))
+    with_blocks = 0
+    for m, n, k, eps, seed in cases:
+        result = construct_bipartite(m, n, k, epsilon_hint=eps, seed=seed)
+        index = result.sequence.graph.index
+        items = tuple(index[x] for x in result.sequence.items)
+        assert (items, result.blocks_used) == construct_bipartite_reference(
+            m, n, k, eps, seed), (m, n, k, eps, seed)
+        if result.block is not None:
+            with_blocks += 1
+            # a block never runs out of unused vertices on either side, so
+            # the reference's "all used" break cannot fire
+            assert result.block.c0 <= m and result.block.c1 <= n
+    assert with_blocks >= 100
+
+
+def test_construct_bipartite_refuses_before_building(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("K_{m,n} was built")
+
+    monkeypatch.setattr(radius, "complete_bipartite", unreachable)
+    with pytest.raises(BudgetError, match="over the budget of 16384"):
+        construct_bipartite(700, 700, 15)
+    # past the int8 slot scores, with a stand-in a_k that never binds
+    monkeypatch.setattr(debruijn, "build_debruijn", lambda k: None)
+    monkeypatch.setattr(debruijn, "min_normalized_cycle", lambda g: None)
+    with pytest.raises(BudgetError, match="k = 64 overflows"):
+        construct_bipartite(3, 3, 64)
 
 
 def test_construct_bipartite_degenerate_and_seeded():

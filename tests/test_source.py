@@ -94,3 +94,28 @@ def test_no_unused_import_in_library():
                 if name not in loaded:
                     found.append(f"{module}:{node.lineno} {name}")
     assert not found, found
+
+
+def test_every_test_helper_is_reached():
+    # An oracle no test calls, directly or through a helper a test calls,
+    # checks nothing and drifts from the code it once mirrored.
+    tests = ROOT / "tests"
+    helpers = ast.parse((tests / "helpers.py").read_text(encoding="utf-8"))
+    funcs = {node.name: node for node in helpers.body
+             if isinstance(node, ast.FunctionDef)}
+    pending = set()
+    for path in tests.glob("test_*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        pending.update(_loaded_names(tree))
+        pending.update(alias.name for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom)
+                       for alias in node.names)
+    reached = set()
+    while pending:
+        name = pending.pop()
+        if name in funcs and name not in reached:
+            reached.add(name)
+            pending.update(_loaded_names(funcs[name]))
+    found = [f"helpers.py:{node.lineno} {name}"
+             for name, node in funcs.items() if name not in reached]
+    assert not found, found
