@@ -46,6 +46,7 @@ class ExactResult:
     nodes: int = field(default=0, compare=False)  # steps, orbit search too
     # None when optimal, else "node limit", "time limit" or "max_length"
     stop: Optional[str] = field(default=None, compare=False)
+    elapsed: float = field(default=0.0, compare=False)  # seconds
 
     @property
     def is_optimal(self):
@@ -62,7 +63,13 @@ class _SearchState:
     def __init__(self, budget):
         self.budget = budget
         self.nodes = 0
-        self.deadline = time.monotonic() + budget.time_limit
+        self.start = time.monotonic()
+        self.deadline = self.start + budget.time_limit
+
+    def result(self, *fields, stop=None):
+        """An ExactResult carrying this run's nodes and elapsed time."""
+        return ExactResult(*fields, nodes=self.nodes, stop=stop,
+                           elapsed=time.monotonic() - self.start)
 
     def tick(self):
         self.nodes += 1
@@ -72,25 +79,32 @@ class _SearchState:
             raise _Exhausted("time limit")
 
 
-def _automorphism_orbits(g, state):
-    """Vertex orbits under the full automorphism group, as label tuples.
+def _automorphism_orbits(g, state, fixed=()):
+    """Vertex orbits under the automorphisms fixing each vertex of `fixed`.
 
-    Orbits come in the order of their first member in `g.vertices`, and
-    list their members in that order.  For each vertex v that no earlier
-    vertex reaches, and each later vertex u of v's degree not yet known to
-    share or to miss v's orbit, a backtracking search looks for an
-    automorphism taking v to u; each one found merges the orbits along its
-    cycles.  The search maps the vertices one at a time in breadth-first
-    order from v, each to an unused vertex of equal degree whose adjacency
-    to the vertices already mapped matches; a vertex with a mapped
-    neighbour only tries the neighbours of that neighbour's image.  Every
-    step ticks `state`, so the run's node and time budgets bound it.
+    With `fixed` empty that is the full automorphism group; otherwise it is
+    the pointwise stabilizer of the labels in `fixed`, each of which is then
+    an orbit of its own.  Orbits come in the order of their first member in
+    `g.vertices`, and list their members in that order.  For each unfixed
+    vertex v that no earlier vertex reaches, and each later unfixed vertex
+    u of v's degree not yet known to share or to miss v's orbit, a
+    backtracking search looks for an automorphism taking v to u; each one
+    found merges the orbits along its cycles.  The search maps the vertices
+    one at a time in breadth-first order from v, each to an unused vertex
+    of equal degree whose adjacency to the vertices already mapped
+    matches, a fixed vertex only to itself and no other vertex to a fixed
+    one; a vertex with a mapped neighbour only tries the neighbours of
+    that neighbour's image.  Every step ticks `state`, so the run's node
+    and time budgets bound it.
     """
     vs = g.vertices
     n = len(vs)
     index = g.index
     nbrs = [[index[w] for w in g.neighbors(v)] for v in vs]
     deg = [len(a) for a in nbrs]
+    pinned = [False] * n
+    for v in fixed:
+        pinned[index[v]] = True
     parent = list(range(n))  # union-find; a root is its orbit's least vertex
 
     def find(i):
@@ -129,16 +143,19 @@ def _automorphism_orbits(g, state):
         used = [False] * n
 
         def candidates(p):
+            x = order[p]
             if p == 0:
                 pool = (u,)
+            elif pinned[x]:
+                pool = (x,)
             elif back[p]:
                 anchor = (back[p] & -back[p]).bit_length() - 1
                 pool = nbrs[image[anchor]]
             else:
                 pool = range(n)
-            d = deg[order[p]]
+            d, fix = deg[x], pinned[x]
             return iter([c for c in pool if not used[c] and deg[c] == d
-                         and mark[c] == back[p]])
+                         and mark[c] == back[p] and pinned[c] == fix])
 
         stack = [candidates(0)]
         while stack:
@@ -164,12 +181,12 @@ def _automorphism_orbits(g, state):
         return None
 
     for v in range(n):
-        if find(v) != v:
+        if pinned[v] or find(v) != v:
             continue
         order = bfs_order(v)
         missed = []
         for u in range(v + 1, n):
-            if deg[u] != deg[v] or find(u) == v:
+            if pinned[u] or deg[u] != deg[v] or find(u) == v:
                 continue
             if any(find(w) == find(u) for w in missed):
                 continue
@@ -201,11 +218,20 @@ def exact_fk(g, k, mode=LINEAR, budget=None):
     In linear mode the memo only drops states that cannot complete (a
     shorter completion pads to a longer one by repeating its last vertex),
     so that is the lexicographically first witness of the optimal length.
-    The first element is only tried at the least vertex of each
-    automorphism orbit, which keeps that witness: if a witness starts with
-    v and a smaller u lies in v's orbit, the automorphism taking v to u
-    maps it to a witness of the same length that starts with u, so it was
-    not the first.
+
+    At every position only the vertices that are least in their orbit
+    under the automorphisms fixing each distinct vertex of the prefix (its
+    pointwise stabilizer) are tried; at the first position that is the
+    full group.  This keeps the first witness w: if some w[i] were not
+    least in its orbit, an automorphism fixing w[0..i-1] would map w to a
+    witness of the same length with the same prefix and a smaller i-th
+    element, so w was not first.  It also keeps the memo sound: such an
+    automorphism fixes the prefix's covered edges and maps each pruned
+    child's completions onto those of a child that is tried, so a node
+    still fails only if it has no completion.  The choices are cached by
+    the distinct prefix vertices as bits (capped as the memo is); once
+    every orbit is a single vertex, every larger prefix set tries all
+    vertices without a lookup.  The orbit searches tick the budget.
     """
     if g.num_edges < 1:
         raise InvalidParameterError("need at least one edge")
@@ -234,9 +260,25 @@ def exact_fk(g, k, mode=LINEAR, budget=None):
     state = _SearchState(budget)
     tick = state.tick
     memo = {}
+    tries = {}  # distinct prefix vertices as bits -> the vertices to try
     MEMO_CAP = 1 << 18
 
-    def dfs(items, mask, length):
+    def least_in_orbits(seen):
+        """The least vertex of each orbit fixing the vertices in `seen`."""
+        least = tries.get(seen)
+        if least is None:
+            fixed = [labels[i] for i in vertices if seen >> i & 1]
+            least = [index[members[0]]
+                     for members in _automorphism_orbits(g, state, fixed)
+                     if members[0] in index]
+            if len(least) == len(labels):
+                least = vertices
+            if len(tries) >= MEMO_CAP:
+                tries.clear()
+            tries[seen] = least
+        return least
+
+    def dfs(items, mask, length, seen):
         tick()
         pos = len(items)
         remaining = length - pos
@@ -256,9 +298,12 @@ def exact_fk(g, k, mode=LINEAR, budget=None):
         fresh = no_pairs  # fresh[v]: the pairs v would cover next
         for w in last:
             fresh = list(map(or_, fresh, pairbit[w]))
-        for v in vertices:
+        # seen is None once the stabilizer of a subset was trivial
+        choices = vertices if seen is None else least_in_orbits(seen)
+        for v in choices:
             items.append(v)
-            found = dfs(items, mask | fresh[v], length)
+            found = dfs(items, mask | fresh[v], length,
+                        None if choices is vertices else seen | 1 << v)
             items.pop()
             if found:
                 return found
@@ -269,27 +314,22 @@ def exact_fk(g, k, mode=LINEAR, budget=None):
 
     length = lower
     try:
-        first_choices = [index[members[0]]
-                         for members in _automorphism_orbits(g, state)
-                         if members[0] in index]
         while length <= budget.max_length:
             memo.clear()
-            for v in first_choices:
-                witness = dfs([v], 0, length)
-                if witness:
-                    seq = VertexSequence(
-                        g, tuple(labels[i] for i in witness), mode=mode)
-                    check = verify_radius(seq, k)
-                    if not check.valid:
-                        raise VerificationError(
-                            f"exact_fk witness missed {check.uncovered}")
-                    return ExactResult(OPTIMAL, length, seq, length, length,
-                                       state.nodes)
+            witness = dfs([], 0, length, 0)
+            if witness:
+                seq = VertexSequence(
+                    g, tuple(labels[i] for i in witness), mode=mode)
+                check = verify_radius(seq, k)
+                if not check.valid:
+                    raise VerificationError(
+                        f"exact_fk witness missed {check.uncovered}")
+                return state.result(OPTIMAL, length, seq, length, length)
             length += 1
         raise _Exhausted("max_length")
     except _Exhausted as exc:
-        return ExactResult(UNKNOWN, None, None, length, None, state.nodes,
-                           exc.args[0])
+        return state.result(UNKNOWN, None, None, length, None,
+                            stop=exc.args[0])
 
 
 def exact_ck(g, k, budget=None):
@@ -365,8 +405,8 @@ def exact_ck(g, k, budget=None):
                 if not check.valid:
                     raise VerificationError(
                         f"exact_ck witness missed {check.uncovered}")
-                return ExactResult(OPTIMAL, check.reads, cov,
-                                   check.reads, check.reads, state.nodes)
+                return state.result(OPTIMAL, check.reads, cov,
+                                    check.reads, check.reads)
             if glen + 1 > budget.max_length:
                 continue
             ng = glen + 1
@@ -393,28 +433,48 @@ def exact_ck(g, k, budget=None):
         lo = math.ceil(edge_bound) if edge_bound is not None else k + 1
         frontier = heap[0][0] if heap else math.inf
         lo = max(lo, min(frontier, budget.max_length + 1) + k)
-        return ExactResult(UNKNOWN, None, None, lo, None, state.nodes,
-                           exc.args[0])
+        return state.result(UNKNOWN, None, None, lo, None, stop=exc.args[0])
 
 
 def exact_maxcut(g):
     """Maximum cut size by enumerating bipartitions (n <= 24).
 
-    Vertex 0 is pinned to one side; the rest is vectorized over chunks.
+    Vertex 0 stays on side 0 and bit v - 1 of a code puts vertex v on side
+    1.  The cut table cut[code] over vertices 0..m - 1 grows to vertex m by
+    concatenating cut + s (m on side 0) and cut + (d - s) (m on side 1),
+    where s counts m's lower neighbours on side 1 and d all of them: O(2^n)
+    work in all.  The table stops at 2^18 codes (512 KB); each assignment
+    of the at most 5 later vertices is added onto it the same way.  Cut
+    sizes are at most E <= 276, so uint16 holds them, and the counts s
+    and d are at most n - 1 <= 23, so they stay uint8.
     """
     n = g.num_vertices
     if n > 24:
         raise BudgetError(f"brute-force max cut supports n <= 24, got {n}")
     if n < 2 or g.num_edges == 0:
         return 0
-    pairs = g.ends.tolist()
-    total = 1 << (n - 1)
-    chunk = min(total, 1 << 18)
+    below = [0] * n  # below[v]: v's neighbours u < v as code bits
+    degree = [0] * n  # degree[v]: how many they are, vertex 0 too
+    for u, v in g.ends.tolist():
+        u, v = min(u, v), max(u, v)
+        below[v] |= 1 << u >> 1
+        degree[v] += 1
+    m = min(n, 19)  # the table's vertices: 0 and at most 18 free ones
+    cut = np.zeros(1, dtype=np.uint16)
+    for v in range(1, m):
+        s = np.bitwise_count(np.arange(len(cut), dtype=np.uint32) & below[v])
+        cut = np.concatenate((cut + s, cut + (degree[v] - s)))
+    codes = np.arange(len(cut), dtype=np.uint32)
+    low = (1 << (m - 1)) - 1
+    # per code, each later vertex's table neighbours on side 1
+    in_table = [np.bitwise_count(codes & (below[v] & low))
+                for v in range(m, n)]
     best = 0
-    for lo in range(0, total, chunk):
-        codes = np.arange(lo, min(lo + chunk, total), dtype=np.uint32)
-        cut = np.zeros(codes.shape, dtype=np.int64)
-        for u, v in pairs:
-            cut += ((codes >> np.uint32(u)) ^ (codes >> np.uint32(v))) & 1
-        best = max(best, int(cut.max()))
+    for high in range(1 << (n - m)):  # bit j puts vertex m + j on side 1
+        total = cut
+        for j, s in enumerate(in_table):
+            v = m + j
+            s = s + (high & below[v] >> (m - 1)).bit_count()
+            total = total + (degree[v] - s if high >> j & 1 else s)
+        best = max(best, int(total.max()))
     return best

@@ -83,11 +83,17 @@ class CoverCheck(NamedTuple):
     reads: int
 
 
+# Edges coded per block in `_uncovered_edges`: its int64 temporaries stay
+# at a few 8 MB arrays, whatever the edge count.
+_EDGE_BLOCK = 1 << 20
+
+
 def _uncovered_edges(graph, pairs):
     """Sorted edges of graph that no (u, v) index-array pair in pairs covers.
 
     A pair is coded min*V + max over V vertex indices, which fits int64 for
     V < 3e9; a pair u == v codes no edge, since graphs have no self-loops.
+    The edges are looked up in blocks of `_EDGE_BLOCK`.
     """
     size = graph.num_vertices
 
@@ -99,10 +105,13 @@ def _uncovered_edges(graph, pairs):
     covered = np.concatenate(
         [np.full(1, -1, dtype=np.int64)] + [code(u, v) for u, v in pairs])
     covered.sort()
-    edge_codes = code(graph.ends[:, 0], graph.ends[:, 1])
-    found = covered[np.searchsorted(covered, edge_codes, side="right") - 1]
+    missing = []
+    for lo in range(0, graph.num_edges, _EDGE_BLOCK):
+        ends = graph.ends[lo:lo + _EDGE_BLOCK]
+        edge_codes = code(ends[:, 0], ends[:, 1])
+        found = covered[np.searchsorted(covered, edge_codes, side="right") - 1]
+        missing += ends[found != edge_codes].tolist()
     vs = graph.vertices
-    missing = graph.ends[found != edge_codes].tolist()
     return tuple(sorted(tuple(sorted((vs[a], vs[b]))) for a, b in missing))
 
 

@@ -327,12 +327,13 @@ def line_graph_reference(g):
     return Graph(vs, edges)
 
 
-def automorphism_orbits_reference(g, cap=8):
-    """Vertex orbits under the full automorphism group, for tiny graphs.
+def automorphism_orbits_reference(g, cap=8, fixed=()):
+    """Vertex orbits under the automorphisms fixing each vertex of `fixed`.
 
     `exact._automorphism_orbits` as it was before its backtracking search:
-    it tries all n! permutations.  The backtracking search must return the
-    same orbits in the same order.
+    it tries all n! permutations, keeping those that map each label in
+    `fixed` to itself.  The backtracking search must return the same
+    orbits in the same order.
 
     Restricting the first sequence element to one representative per orbit
     only prunes isomorphic branches.  Above `cap` vertices the trivial
@@ -347,6 +348,7 @@ def automorphism_orbits_reference(g, cap=8):
     for u, v in g.edges:
         adj[idx[u]][idx[v]] = adj[idx[v]][idx[u]] = True
     degs = [g.degree(v) for v in vs]
+    pinned = [idx[v] for v in fixed]
     parent = list(range(n))
 
     def find(i):
@@ -357,6 +359,8 @@ def automorphism_orbits_reference(g, cap=8):
 
     for perm in itertools.permutations(range(n)):
         if any(degs[perm[i]] != degs[i] for i in range(n)):
+            continue
+        if any(perm[i] != i for i in pinned):
             continue
         if all(adj[perm[i]][perm[j]] == adj[i][j]
                for i in range(n) for j in range(i + 1, n)):
@@ -709,3 +713,26 @@ def construct_bipartite_reference(m, n, k, epsilon_hint=0.5, seed=0):
             append(x)
             append(y)
     return tuple(items), blocks_used
+
+
+def exact_maxcut_reference(g):
+    """Maximum cut size by enumerating bipartitions, one pass per edge.
+
+    `exact.exact_maxcut` as it was before it grew its cut table one vertex
+    at a time: the last vertex stays on side 0 and every edge adds its
+    crossing bit over 2^18-code chunks.  The table must give the same cut.
+    """
+    n = g.num_vertices
+    if n < 2 or g.num_edges == 0:
+        return 0
+    pairs = g.ends.tolist()
+    total = 1 << (n - 1)
+    chunk = min(total, 1 << 18)
+    best = 0
+    for lo in range(0, total, chunk):
+        codes = np.arange(lo, min(lo + chunk, total), dtype=np.uint32)
+        cut = np.zeros(codes.shape, dtype=np.int64)
+        for u, v in pairs:
+            cut += ((codes >> np.uint32(u)) ^ (codes >> np.uint32(v))) & 1
+        best = max(best, int(cut.max()))
+    return best

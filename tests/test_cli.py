@@ -236,18 +236,19 @@ def test_exact_budget_exit(capsys, tmp_path):
 
 
 def test_exact_fk_unknown_exit(capsys, tmp_path):
-    # K_{4,4} at k = 2 takes far more than 4096 nodes, the first time check
-    graph = tmp_path / "k44.edges"
-    graph.write_text(serialize_graph(complete_bipartite(4, 4)))
+    # K_{5,5} at k = 2 takes far more than 4096 nodes at its first length,
+    # 20, so the first time check stops it there
+    graph = tmp_path / "k55.edges"
+    graph.write_text(serialize_graph(complete_bipartite(5, 5)))
     argv = ["exact", "fk", "--k", "2", "--graph", str(graph),
             "--time-limit", "1e-9"]
     code, out, err = run(capsys, argv)
     assert code == 3 and err == ""
-    assert out == "f_2: unknown (proven >= 11)\n"
+    assert out == "f_2: unknown (proven >= 20)\n"
     code, out, _ = run(capsys, [*argv, "--format", "json-lines"])
     assert code == 3
     assert json.loads(out) == {"op": "exact-fk", "k": 2, "status": "unknown",
-                               "lower": 11, "upper": None}
+                               "lower": 20, "upper": None}
 
 
 def test_exact_time_limit_budgets(capsys, monkeypatch, k4_file):

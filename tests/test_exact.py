@@ -1,11 +1,15 @@
 """Tests for the exhaustive ground-truth solvers."""
 
+import dataclasses
+import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from helpers import (automorphism_orbits_reference, exact_ck_reference,
-                     exact_fk_reference, random_graph)
+                     exact_fk_reference, exact_maxcut_reference, random_graph)
+from radiuskit import exact
 from radiuskit.binseq import wk_exact
 from radiuskit.errors import BudgetError, InvalidParameterError
 from radiuskit.exact import (SearchBudget, _automorphism_orbits, _SearchState,
@@ -80,6 +84,50 @@ def test_exact_maxcut_examples():
         exact_maxcut(complete(25))
 
 
+def _maxcut_brute_force(g):
+    ends = g.ends.tolist()
+    return max(sum(sides[u] != sides[v] for u, v in ends)
+               for sides in itertools.product((0, 1), repeat=g.num_vertices))
+
+
+def test_exact_maxcut_matches_brute_force():
+    rng = random.Random(16)
+    graphs = [Graph(("a", "b"), (("a", "b"),)),
+              # isolated vertices first and in between
+              Graph(("z", "a", "y", "b", "c", "x"),
+                    (("a", "b"), ("b", "c"), ("a", "c"), ("c", "x")))]
+    for _ in range(60):
+        n = rng.randint(2, 10)
+        labels = [f"v{i}" for i in range(n)]
+        graphs.append(Graph(labels, [
+            (labels[i], labels[j]) for i, j in itertools.combinations(range(n), 2)
+            if rng.random() < rng.choice([0.2, 0.5, 0.8])]))
+    for g in graphs:
+        assert exact_maxcut(g) == _maxcut_brute_force(g), g.edges
+
+
+def test_exact_maxcut_matches_reference_past_the_table():
+    # more than 19 vertices: later vertices are enumerated over the table
+    rng = random.Random(17)
+    for n in (20, 21, 23):
+        labels = [f"v{i}" for i in range(n)]
+        edges = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(2 * n)}
+        g = Graph(labels, [(labels[i], labels[j]) for i, j in sorted(edges)])
+        assert exact_maxcut(g) == exact_maxcut_reference(g), n
+
+
+def test_exact_maxcut_at_the_cap():
+    # 23 free vertices: an 18-vertex table and 2^5 assignments over it
+    tracemalloc.start()
+    try:
+        assert exact_maxcut(path(24)) == 23
+        assert exact_maxcut(complete(24)) == 144
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+
+
 def test_maxcut_identity_small_sweep():
     for n in range(5, 13):
         for k in range(1, 4):
@@ -149,19 +197,45 @@ def _oracle_graphs(seed, count):
 ORACLE_BUDGET = SearchBudget(node_limit=2000)
 
 
-def test_exact_fk_matches_reference():
+def _hypercube(d):
+    labels = [format(i, f"0{d}b") for i in range(1 << d)]
+    return Graph(labels, [(labels[i], labels[i ^ b]) for i in range(1 << d)
+                          for b in (1 << j for j in range(d)) if i < i ^ b])
+
+
+# vertex- or edge-transitive graphs, where every position prunes the most
+SYMMETRIC_GRAPHS = [cycle(6), cycle(8), complete_bipartite(2, 4),
+                    complete_bipartite(3, 3), _hypercube(3), circulant(8, 2)]
+
+
+def _compare_fk(graphs, budget):
     compared = 0
-    for g in _oracle_graphs(11, 20):
+    for g in graphs:
         for k in (1, 2, 3):
             for mode in ("linear", "cyclic"):
-                expected = exact_fk_reference(g, k, mode, ORACLE_BUDGET)
+                expected = exact_fk_reference(g, k, mode, budget)
                 if not expected.is_optimal:
                     continue
                 result = exact_fk(g, k, mode)
                 assert result == expected, (g.edges, k, mode)
                 assert result.witness.items == expected.witness.items
                 compared += 1
-    assert compared >= 80
+    return compared
+
+
+def test_exact_fk_matches_reference():
+    assert _compare_fk(_oracle_graphs(11, 20), ORACLE_BUDGET) >= 80
+    # the reference prunes the first position only: give it more nodes
+    for g in SYMMETRIC_GRAPHS:
+        assert _compare_fk([g], SearchBudget(node_limit=20_000)) >= 2, g.edges
+
+
+def test_k44_witness():
+    # pruning at the first position only took 3.8 M nodes
+    result = exact_fk(complete_bipartite(4, 4), 2)
+    assert result.optimum == 13 and result.nodes < 100_000
+    assert " ".join(result.witness.items) == (
+        "x1 y1 y2 x2 y3 y4 x3 y1 y2 x4 y3 y4 x1")
 
 
 def test_exact_ck_matches_reference():
@@ -194,6 +268,20 @@ def test_automorphism_orbits_match_reference():
         assert _orbits(g) == automorphism_orbits_reference(g), g.edges
 
 
+def test_stabilizer_orbits_match_reference():
+    rng = random.Random(14)
+    graphs = list(_oracle_graphs(15, 40)) + SYMMETRIC_GRAPHS
+    graphs += [path(6), complete_bipartite(3, 4),
+               Graph(("a", "b", "c", "d", "e"), (("a", "b"), ("c", "d")))]
+    for g in graphs:
+        for _ in range(3):
+            fixed = rng.sample(g.vertices, rng.randint(1, g.num_vertices))
+            expected = automorphism_orbits_reference(g, fixed=fixed)
+            assert _automorphism_orbits(
+                g, _SearchState(SearchBudget()), fixed) == expected, (
+                    g.edges, fixed)
+
+
 def test_k33_target_witness_and_orbit():
     # The line graph of K_{3,3}: the 9-vertex rook's graph K3 x K3, which
     # is vertex-transitive; the n! reference switched off above 8 vertices.
@@ -207,6 +295,26 @@ def test_k33_target_witness_and_orbit():
         assert " ".join(result.witness.items) == (
             "x1|y1 x1|y2 x1|y3 x2|y3 x3|y3 x3|y1 x3|y2 x1|y2 x2|y2 x2|y3 "
             "x2|y1 x1|y1 x3|y1")
+
+
+def test_orbit_searches_stop_at_a_trivial_stabilizer(monkeypatch):
+    searched = []
+
+    def recording(g, state, fixed=()):
+        orbits = _automorphism_orbits(g, state, fixed)
+        searched.append((frozenset(fixed), len(orbits) == g.num_vertices))
+        return orbits
+
+    monkeypatch.setattr(exact, "_automorphism_orbits", recording)
+    target = reduce_hampath_to_radius(complete_bipartite(3, 3), 2).target
+    assert exact_fk(target, 2).optimum == 13
+    trivial = dict(searched)
+    assert len(trivial) == len(searched) and any(trivial.values())
+    # each prefix set is searched once, and only below a prefix whose
+    # stabilizer still moved some vertex
+    for fixed in trivial:
+        assert not fixed or any(trivial.get(fixed - {v}) is False
+                                for v in fixed)
 
 
 def test_orbit_search_counts_against_the_budget():
@@ -227,6 +335,15 @@ def test_exact_ck_unknown_interval(g, k):
         assert edge_bound.lower <= result.lower <= optimum
     # only covers of at least 3 sets remain: 3 + k reads
     assert exact_ck(cycle(8), 3, SearchBudget(max_length=2)).lower == 6
+
+
+def test_elapsed_is_reported_and_not_compared():
+    for solve in (exact_fk, exact_ck):
+        for budget in (None, SearchBudget(node_limit=1)):
+            result = solve(complete(5), 1, budget=budget)
+            assert result.elapsed >= 0
+            assert result == dataclasses.replace(
+                result, elapsed=result.elapsed + 1)
 
 
 def test_stop_reason_and_nodes():

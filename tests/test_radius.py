@@ -70,6 +70,25 @@ def test_verify_radius_matches_pair_oracle():
         assert verify_radius(seq, k) == (not oracle, oracle)
 
 
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_uncovered_edges_in_blocks(monkeypatch, block):
+    # every graph here fits one block of the real size
+    monkeypatch.setattr(radius, "_EDGE_BLOCK", block)
+    rng = random.Random(block)
+    for graph in (complete(6), circulant(9, 2), complete_bipartite(3, 4)):
+        for _ in range(20):
+            items = rng.choices(graph.vertices, k=rng.randrange(12))
+            seq = VertexSequence(graph, items,
+                                 mode=rng.choice(("linear", "cyclic")))
+            k = rng.randrange(1, 4)
+            oracle = _radius_oracle(seq, k)
+            assert verify_radius(seq, k) == (not oracle, oracle)
+    g = complete(7)
+    sets = ({"v1", "v2", "v3"}, {"v2", "v3", "v4"}, {"v3", "v4", "v7"})
+    assert verify_cover(CoverSequence(g, 2, sets)).uncovered == (
+        _uncovered_oracle(g, sets))
+
+
 @st.composite
 def radius_cases(draw):
     """A graph on 2..7 vertices, a sequence over it (often no longer than
