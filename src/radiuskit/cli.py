@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 domain errors (invalid sequences, uncovered edges,
-bad witnesses), 2 usage errors (bad flags, malformed files), 3 budget
-exhaustion, 4 a computed result that failed its own certificate check (an
-internal fault: every a_k is checked against its potentials and witness
-before it is printed).  Output is human-readable by default; --format
+bad witnesses), 2 usage errors (bad flags, malformed or unreadable files),
+3 budget exhaustion, 4 a computed result that failed its own certificate
+check (an internal fault: every a_k is checked against its potentials and
+witness before it is printed).  Output is human-readable by default; --format
 json-lines emits one JSON object per line whose embedded sequences and edge
 lists round-trip through the file-format parsers.
 """
@@ -20,7 +20,9 @@ from .errors import (BudgetError, InputError, InvalidParameterError,
                      ParseError, StructureError, UnsupportedLengthError,
                      VerificationError, WitnessError)
 
-_USAGE_ERRORS = (InvalidParameterError, ParseError, FileNotFoundError)
+# OSError covers missing files, directories and unwritable output paths
+_USAGE_ERRORS = (InvalidParameterError, ParseError, OSError,
+                 UnicodeDecodeError)
 _DOMAIN_ERRORS = (InputError, WitnessError, StructureError,
                   UnsupportedLengthError)
 
@@ -54,11 +56,6 @@ def _load_graph(path):
     return graphs.parse_graph(_read(path))
 
 
-def _add_common(parser):
-    parser.add_argument("--format", choices=["human", "json-lines"],
-                        default="human", help="output format")
-
-
 def _cmd_ak(args, out):
     g = debruijn.build_debruijn(args.k, args.alphabet)
     cycle = debruijn.min_normalized_cycle(g)
@@ -70,8 +67,7 @@ def _cmd_ak(args, out):
              f"cycle {cycle.word} (length {cycle.length}, "
              f"weight {cycle.total_weight})"]
     if args.cycle:
-        windows = " ".join(g.vertex_word(c) for c in cycle.window_codes())
-        lines.append(f"windows {windows}")
+        lines.append(f"windows {' '.join(cycle.windows())}")
     out.emit(record, lines)
     return 0
 
@@ -167,8 +163,6 @@ def _cmd_construct(args, out):
         lines += [" ".join(sorted(s)) for s in cov.sets]
         out.emit(record, lines)
     else:  # euler1
-        if not args.graph:
-            raise InvalidParameterError("construct euler1 requires --graph")
         g = _load_graph(args.graph)
         seq = radius.euler_radius1(g)
         record = {"op": "construct-euler1", "length": len(seq),
@@ -193,7 +187,7 @@ def _cmd_exact(args, out):
         result = exact.exact_fk(g, args.k, mode=mode, budget=budget)
         name = f"f_{args.k}" + ("^cyc" if args.cyclic else "")
     else:
-        # the A* tables of exact ck grow with its nodes: it keeps the node cap
+        # the A* table of exact ck grows with its nodes: it keeps the node cap
         result = exact.exact_ck(g, args.k, budget=exact.SearchBudget(**limits))
         name = f"c_{args.k}"
     if not result.is_optimal:
@@ -304,88 +298,90 @@ def _cmd_conjecture(args, out):
 # Cached: main() may run many times in one process.  argparse makes a fresh
 # Namespace on every parse and reads sys.stdout, sys.stderr and the terminal
 # width only when it prints, so one tree serves every call; callers share it
-# and must not modify it.
+# and must not modify it.  Every leaf parser declares only the flags its
+# handler reads, so any other flag exits 2.
 @functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="radiuskit",
         description="k-radius and k-cover sequence toolkit")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=["human", "json-lines"],
+                        default="human", help="output format")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ak", help="minimum normalized cycle weight")
+    def leaf(group, name, func, **kwargs):
+        p = group.add_parser(name, parents=[common], **kwargs)
+        p.set_defaults(func=func)
+        return p
+
+    def kinds(name, **kwargs):
+        return sub.add_parser(name, **kwargs).add_subparsers(dest="kind",
+                                                             required=True)
+
+    p = leaf(sub, "ak", _cmd_ak, help="minimum normalized cycle weight")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--alphabet", type=int, default=2)
     p.add_argument("--cycle", action="store_true",
                    help="also print the witness cycle's window decomposition")
-    _add_common(p)
-    p.set_defaults(func=_cmd_ak)
 
-    p = sub.add_parser("zk", help="alternating-run cycle bound")
+    p = leaf(sub, "zk", _cmd_zk, help="alternating-run cycle bound")
     p.add_argument("--k", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_zk)
 
-    p = sub.add_parser("wk", help="minimum bad-pair count for length s")
+    p = leaf(sub, "wk", _cmd_wk, help="minimum bad-pair count for length s")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--method", choices=["auto", "brute", "walk"],
                    default="auto")
     p.add_argument("--alphabet", type=int, default=2)
-    _add_common(p)
-    p.set_defaults(func=_cmd_wk)
 
-    p = sub.add_parser("lowbad", help="construct a low-bad-pair string")
+    p = leaf(sub, "lowbad", _cmd_lowbad,
+             help="construct a low-bad-pair string")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_lowbad)
 
-    p = sub.add_parser("bounds", help="lower bounds for a graph")
+    p = leaf(sub, "bounds", _cmd_bounds, help="lower bounds for a graph")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--bipartite", action="store_true",
                    help="require the graph to be bipartite")
-    _add_common(p)
-    p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("verify", help="verify a sequence against a graph")
-    p.add_argument("kind", choices=["radius", "cover"])
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--seq", required=True)
-    p.add_argument("--cyclic", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=_cmd_verify)
+    group = kinds("verify", help="verify a sequence against a graph")
+    for kind in ("radius", "cover"):
+        p = leaf(group, kind, _cmd_verify)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--graph", required=True)
+        p.add_argument("--seq", required=True)
+    group.choices["radius"].add_argument("--cyclic", action="store_true")
 
-    p = sub.add_parser("construct", help="constructive sequences")
-    p.add_argument("kind", choices=["bipartite", "cover-bipartite", "euler1"])
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--epsilon", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--graph", help="input graph (euler1)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_construct)
+    group = kinds("construct", help="constructive sequences")
+    for kind in ("bipartite", "cover-bipartite"):
+        p = leaf(group, kind, _cmd_construct)
+        p.add_argument("--k", type=int, default=1)
+        p.add_argument("--m", type=int, default=0)
+        p.add_argument("--n", type=int, default=0)
+    bipartite = group.choices["bipartite"]
+    bipartite.add_argument("--epsilon", type=float, default=0.5)
+    bipartite.add_argument("--seed", type=int, default=0)
+    leaf(group, "euler1", _cmd_construct).add_argument("--graph",
+                                                       required=True)
 
-    p = sub.add_parser("exact", help="exhaustive solvers (tiny instances)")
-    p.add_argument("kind", choices=["fk", "ck", "maxcut"])
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--cyclic", action="store_true")
-    p.add_argument("--time-limit", type=float, default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_exact)
+    group = kinds("exact", help="exhaustive solvers (tiny instances)")
+    for kind in ("fk", "ck"):
+        p = leaf(group, kind, _cmd_exact)
+        p.add_argument("--k", type=int, default=1)
+        p.add_argument("--graph", required=True)
+        p.add_argument("--time-limit", type=float, default=None)
+    group.choices["fk"].add_argument("--cyclic", action="store_true")
+    leaf(group, "maxcut", _cmd_exact).add_argument("--graph", required=True)
 
-    p = sub.add_parser("maxcut", help="circulant max cut identity")
+    p = leaf(sub, "maxcut", _cmd_maxcut, help="circulant max cut identity")
     p.add_argument("kind", choices=["circulant"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--brute-check", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=_cmd_maxcut)
 
-    p = sub.add_parser("reduce", help="hardness reduction instances")
+    p = leaf(sub, "reduce", _cmd_reduce, help="hardness reduction instances")
     p.add_argument("kind", choices=["ham-radius", "cover1-coverk"])
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--graph", required=True)
@@ -393,19 +389,13 @@ def build_parser():
                                      "edge list file)")
     p.add_argument("--target-out", help="write the target graph edge list")
     p.add_argument("--meta-out", help="write sidecar metadata JSON")
-    _add_common(p)
-    p.set_defaults(func=_cmd_reduce)
 
-    p = sub.add_parser("table2", help="minimum-cycle constants for k = 1..5")
-    _add_common(p)
-    p.set_defaults(func=_cmd_table2)
+    leaf(sub, "table2", _cmd_table2,
+         help="minimum-cycle constants for k = 1..5")
 
-    p = sub.add_parser("conjecture",
-                       help="compare exact constants against the "
-                            "alternating-run bound")
+    p = leaf(sub, "conjecture", _cmd_conjecture,
+             help="compare exact constants against the alternating-run bound")
     p.add_argument("--max-k", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_conjecture)
 
     return parser
 

@@ -68,17 +68,6 @@ class DeBruijnGraph:
     def num_edges(self):
         return self.alphabet ** (self.k + 1)
 
-    def vertex_word(self, code):
-        return _render_symbols(self.vertex_symbols(code), self.alphabet)
-
-    def vertex_symbols(self, code):
-        t = self.alphabet
-        out = []
-        for _ in range(self.k):
-            out.append(code % t)
-            code //= t
-        return tuple(reversed(out))
-
 
 @dataclass(frozen=True)
 class OptimalCycle:
@@ -103,17 +92,12 @@ class OptimalCycle:
     def word(self):
         return _render_symbols(self.symbols, self.alphabet)
 
-    def window_codes(self):
-        """Vertex codes of the cycle's k-windows, in traversal order."""
-        t = self.alphabet
-        doubled = self.symbols + self.symbols
-        codes = []
-        for i in range(self.length):
-            code = 0
-            for j in range(self.k):
-                code = code * t + doubled[(i + j) % len(doubled)]
-            codes.append(code)
-        return codes
+    def windows(self):
+        """The cycle's k-windows as words, in traversal order (a window
+        may wrap round a cycle shorter than k more than once)."""
+        tiled = self.symbols * (self.k // self.length + 2)
+        return [_render_symbols(tiled[i:i + self.k], self.alphabet)
+                for i in range(self.length)]
 
 
 def build_debruijn(k, alphabet=2):

@@ -332,6 +332,9 @@ def exact_fk(g, k, mode=LINEAR, budget=None):
                             stop=exc.args[0])
 
 
+_UNSEEN = (math.inf, None)
+
+
 def exact_ck(g, k, budget=None):
     """Minimum reads (length + k) of a k-cover sequence, by A* search.
 
@@ -369,8 +372,8 @@ def exact_ck(g, k, budget=None):
     full_mask = (1 << num_edges) - 1
 
     heap = []
-    best_g = {}
-    parents = {}
+    # key -> (least path length found, parent key on that path)
+    table = {}
     counter = itertools.count()
     for combo in itertools.combinations(range(n), k + 1):
         cache = sum(1 << i for i in combo)
@@ -381,15 +384,14 @@ def exact_ck(g, k, budget=None):
                     covered |= ebit
         key = (cache, covered)
         h = -(-(num_edges - covered.bit_count()) // k)
-        best_g[key] = 1
-        parents[key] = None
+        table[key] = (1, None)
         heapq.heappush(heap, (1 + h, 1, next(counter), key))
 
     try:
         while heap:
             state.tick()
             f, glen, _, key = heapq.heappop(heap)
-            if glen > best_g.get(key, math.inf):
+            if glen > table[key][0]:
                 continue
             cache, covered = key
             if covered == full_mask:
@@ -398,7 +400,7 @@ def exact_ck(g, k, budget=None):
                 while cur is not None:
                     sets.append(frozenset(labels[i] for i in range(n)
                                           if cur[0] >> i & 1))
-                    cur = parents[cur]
+                    cur = table[cur][1]
                 sets.reverse()
                 cov = CoverSequence(g, k, tuple(sets))
                 check = verify_cover(cov)
@@ -422,9 +424,8 @@ def exact_ck(g, k, budget=None):
                         if rest & wbit:
                             ncov |= ebit
                     nkey = (rest | 1 << new, ncov)
-                    if ng < best_g.get(nkey, math.inf):
-                        best_g[nkey] = ng
-                        parents[nkey] = key
+                    if ng < table.get(nkey, _UNSEEN)[0]:
+                        table[nkey] = (ng, key)
                         h = -(-(num_edges - ncov.bit_count()) // k)
                         heapq.heappush(heap, (ng + h, ng, next(counter), nkey))
         raise _Exhausted("max_length")

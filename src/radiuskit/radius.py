@@ -93,17 +93,25 @@ def _uncovered_edges(graph, pairs):
 
     A pair is coded min*V + max over V vertex indices, which fits int64 for
     V < 3e9; a pair u == v codes no edge, since graphs have no self-loops.
-    The edges are looked up in blocks of `_EDGE_BLOCK`.
+    The codes of every pair are written into one array, one (u, v) at a
+    time; the edges are looked up in blocks of `_EDGE_BLOCK`.
     """
     size = graph.num_vertices
 
-    def code(u, v):
-        return np.minimum(u, v) * size + np.maximum(u, v)
+    def code(u, v, out=None):
+        out = np.minimum(u, v, out=out)
+        out *= size
+        out += np.maximum(u, v)
+        return out
 
     # the -1 sentinel lies below every code, so each edge code finds the
     # largest covered code not above it
-    covered = np.concatenate(
-        [np.full(1, -1, dtype=np.int64)] + [code(u, v) for u, v in pairs])
+    covered = np.empty(1 + sum(len(u) for u, _ in pairs), dtype=np.int64)
+    covered[0] = -1
+    start = 1
+    for u, v in pairs:
+        code(u, v, out=covered[start:start + len(u)])
+        start += len(u)
     covered.sort()
     missing = []
     for lo in range(0, graph.num_edges, _EDGE_BLOCK):
@@ -123,10 +131,10 @@ def verify_radius(seq, k):
     at = np.fromiter(map(seq.graph.index.__getitem__, seq.items),
                      dtype=np.int64, count=s)
     span = min(k, s - 1)
-    if seq.mode == LINEAR:
-        pairs = [(at[:s - d], at[d:]) for d in range(1, span + 1)]
-    else:
-        pairs = [(at, np.roll(at, -d)) for d in range(1, span + 1)]
+    pairs = [(at[:s - d], at[d:]) for d in range(1, span + 1)]
+    if seq.mode == CYCLIC:
+        # the pairs at distance d that wrap round the end
+        pairs += [(at[s - d:], at[:d]) for d in range(1, span + 1)]
     uncovered = _uncovered_edges(seq.graph, pairs)
     return RadiusCheck(not uncovered, uncovered)
 

@@ -62,7 +62,7 @@ def test_criterion_1_table2_regression():
                          for i in range(cycle_.length))
             assert weight == cycle_.total_weight
             assert Fraction(weight, cycle_.length) == value
-            assert len(set(cycle_.window_codes())) == cycle_.length
+            assert len(set(cycle_.windows())) == cycle_.length
 
 
 def test_criterion_2_conjecture_sweep():

@@ -1,5 +1,8 @@
 """End-to-end CLI tests (in-process through main)."""
 
+import argparse
+import ast
+import inspect
 import json
 import sys
 import tracemalloc
@@ -31,7 +34,10 @@ def seq_file(tmp_path):
 
 
 def run(capsys, argv):
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors and --help
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -253,7 +259,7 @@ def test_exact_fk_unknown_exit(capsys, tmp_path):
 
 def test_exact_time_limit_budgets(capsys, monkeypatch, k4_file):
     """exact fk has no node cap (its memo is capped), with or without
-    `--time-limit`; exact ck keeps it (its A* tables grow with the nodes)."""
+    `--time-limit`; exact ck keeps it (its A* table grows with the nodes)."""
     budgets = []
     for name in ("exact_fk", "exact_ck"):
         def capture(*args, real=getattr(exact, name), **kwargs):
@@ -369,6 +375,83 @@ def test_construct_euler_requires_graph(capsys):
     assert code == 2 and "graph" in err
 
 
+# (a valid command, a flag its kind does not read); each flag was once
+# parsed for that kind and ignored
+UNREAD_FLAGS = [
+    ("verify cover --k 2 --graph {graph} --seq {cover}", "--cyclic"),
+    ("construct bipartite --k 2 --m 4 --n 4", "--graph {graph}"),
+    *(("construct cover-bipartite --k 2 --m 4 --n 5", flag)
+      for flag in ("--epsilon 0.5", "--seed 7", "--graph {graph}")),
+    *(("construct euler1 --graph {graph}", flag)
+      for flag in ("--k 2", "--m 4", "--n 4", "--epsilon 0.5", "--seed 7")),
+    ("exact ck --k 2 --graph {graph}", "--cyclic"),
+    *(("exact maxcut --graph {graph}", flag)
+      for flag in ("--k 2", "--cyclic", "--time-limit 30")),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag", UNREAD_FLAGS,
+    ids=[" ".join(c.split()[:2] + f.split()[:1]) for c, f in UNREAD_FLAGS])
+def test_unread_flags_exit_2(capsys, tmp_path, k4_file, command, flag):
+    cover = tmp_path / "cov.txt"
+    cover.write_text("v1 v2 v3\nv1 v2 v4\nv1 v3 v4\n")
+    argv = command.format(graph=k4_file, cover=cover).split()
+    assert run(capsys, argv)[0] == 0
+    code, out, err = run(capsys, argv + flag.format(graph=k4_file).split())
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err
+
+
+def _leaves(parser, path=()):
+    """(path, parser) for every parser of the tree without subcommands."""
+    groups = [action for action in parser._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    if not groups:
+        yield path, parser
+    for group in groups:
+        for name, child in group.choices.items():
+            yield from _leaves(child, path + (name,))
+
+
+def test_every_flag_is_read():
+    # each flag a leaf accepts is loaded as args.<dest> by its handler
+    # (`--format` is read by main)
+    unread = []
+    for path, parser in _leaves(cli.build_parser()):
+        func = parser.get_default("func")
+        loaded = {node.attr
+                  for node in ast.walk(ast.parse(inspect.getsource(func)))
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "args"}
+        unread += [(path, action.dest) for action in parser._actions
+                   if action.option_strings
+                   and action.dest not in ("help", "format", *loaded)]
+    assert not unread, unread
+
+
+@pytest.mark.parametrize("case", ["graph-dir", "seq-dir", "target-out-dir",
+                                  "graph-not-utf8"])
+def test_unreadable_paths_exit_2(capsys, tmp_path, k4_file, case):
+    k33 = tmp_path / "k33.edges"
+    k33.write_text(serialize_graph(complete_bipartite(3, 3)))
+    latin1 = tmp_path / "latin1.edges"
+    latin1.write_bytes("caf\xe9 b\n".encode("latin-1"))
+    argv = {"graph-dir": ["bounds", "--k", "1", "--graph", str(tmp_path)],
+            "seq-dir": ["verify", "radius", "--k", "2", "--graph", k4_file,
+                        "--seq", str(tmp_path)],
+            "target-out-dir": ["reduce", "ham-radius", "--k", "2",
+                               "--graph", str(k33),
+                               "--target-out", str(tmp_path)],
+            "graph-not-utf8": ["bounds", "--k", "1",
+                               "--graph", str(latin1)]}[case]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and "Traceback" not in err
+
+
 def test_wk_rejects_small_alphabets(capsys):
     for alphabet in ("1", "0", "-2"):
         for method in ("brute", "walk", "auto"):
@@ -426,18 +509,10 @@ def test_main_reuses_one_parser(capsys, monkeypatch):
     argvs = [["ak"], ["--help"], ["wk", "--help"],
              ["wk", "--k", "4", "--s", "9", "--format", "json-lines"], ["ak"]]
 
-    def outcome(argv):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
-
     cached = cli.build_parser
-    first = [outcome(argv) for argv in argvs]
+    first = [run(capsys, argv) for argv in argvs]
     misses = cached.cache_info().misses
-    assert [outcome(argv) for argv in argvs] == first
+    assert [run(capsys, argv) for argv in argvs] == first
     assert first[-1] == first[0]
     assert first[0][0] == 2 and first[0][1] == ""
     assert "the following arguments are required: --k" in first[0][2]
@@ -447,4 +522,4 @@ def test_main_reuses_one_parser(capsys, monkeypatch):
     assert json.loads(first[3][1])["value"] == binseq.wk_exact(4, 9)
     assert cached.cache_info().misses == misses
     monkeypatch.setattr(cli, "build_parser", cached.__wrapped__)
-    assert [outcome(argv) for argv in argvs] == first
+    assert [run(capsys, argv) for argv in argvs] == first

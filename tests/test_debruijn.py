@@ -79,8 +79,8 @@ def test_table2_values_and_witnesses():
         cycle = min_normalized_cycle(build_debruijn(k))
         assert cycle.normalized == expected
         # re-verify the witness from scratch
-        codes = cycle.window_codes()
-        assert len(set(codes)) == cycle.length, "windows must be distinct"
+        windows = cycle.windows()
+        assert len(set(windows)) == cycle.length, "windows must be distinct"
         assert cycle_word_weight(cycle.word, k) == cycle.total_weight
         assert Fraction(cycle.total_weight, cycle.length) == expected
 
@@ -259,12 +259,6 @@ def test_budget_error():
         dk(16)
 
 
-def test_vertex_codecs():
-    g = build_debruijn(3)
-    assert g.vertex_word(5) == "101"
-
-
 def test_large_k_encodes_without_materializing():
     g = build_debruijn(24)
     assert g.num_vertices == 2 ** 24 and g.num_edges == 2 ** 25
-    assert g.vertex_word(1) == "0" * 23 + "1"

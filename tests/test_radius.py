@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -87,6 +88,23 @@ def test_uncovered_edges_in_blocks(monkeypatch, block):
     sets = ({"v1", "v2", "v3"}, {"v2", "v3", "v4"}, {"v3", "v4", "v7"})
     assert verify_cover(CoverSequence(g, 2, sets)).uncovered == (
         _uncovered_oracle(g, sets))
+
+
+@pytest.mark.parametrize("k", [4, 8])
+@pytest.mark.parametrize("mode", ["linear", "cyclic"])
+def test_verify_radius_keeps_one_code_array(mode, k):
+    # the k * s covered codes, the s vertex indices and a temporary or two:
+    # no per-distance copies
+    s = 200_000
+    seq = VertexSequence(Graph(("a", "b"), [("a", "b")]), ("a", "b") * (s // 2),
+                         mode=mode)
+    tracemalloc.start()
+    try:
+        assert verify_radius(seq, k).valid
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (k + 4) * s * 8
 
 
 @st.composite
