@@ -21,8 +21,7 @@ from .errors import (BudgetError, InputError, InvalidParameterError,
                      VerificationError, WitnessError)
 
 # OSError covers missing files, directories and unwritable output paths
-_USAGE_ERRORS = (InvalidParameterError, ParseError, OSError,
-                 UnicodeDecodeError)
+_USAGE_ERRORS = (InvalidParameterError, ParseError, OSError)
 _DOMAIN_ERRORS = (InputError, WitnessError, StructureError,
                   UnsupportedLengthError)
 
@@ -48,8 +47,17 @@ class _Output:
 
 
 def _read(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The file's text; every parser splits it with `str.splitlines`, so
+    its line ends need no translation."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line of the first bad byte, numbered as splitlines does
+        line = len((data[:exc.start].decode("utf-8") + ".").splitlines())
+        raise ParseError(f"not UTF-8 text (byte 0x{data[exc.start]:02x})",
+                         line=line, path=path) from None
 
 
 def _load_graph(path):

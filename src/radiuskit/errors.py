@@ -17,11 +17,14 @@ class InvalidParameterError(RadiuskitError, ValueError):
 
 
 class ParseError(RadiuskitError, ValueError):
-    """A text input is malformed; carries the 1-based line number."""
+    """A text input is malformed; carries the 1-based line number and, if
+    known, the path of the file."""
 
-    def __init__(self, message, line=None):
+    def __init__(self, message, line=None, path=None):
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line = line
 

@@ -338,17 +338,42 @@ _UNSEEN = (math.inf, None)
 def exact_ck(g, k, budget=None):
     """Minimum reads (length + k) of a k-cover sequence, by A* search.
 
-    States are (current cache set, covered edges); the heuristic
-    ceil(uncovered / k) is admissible since each swap creates at most k new
-    co-resident pairs.  Both are int bitmasks: cache bit i is the i-th
-    vertex in sorted label order, the order states are generated and
-    pushed in, and covered bit i is the i-th edge of `g.edges`.
+    States are (current cache set, covered edges), both int bitmasks: cache
+    bit i is the i-th vertex in sorted label order, the order states are
+    generated and pushed in, and covered bit i is the i-th edge of
+    `g.edges`.  The heap orders states by (g + h1, g, push order), with
+    h1 = ceil(uncovered / k): each swap creates at most k new co-resident
+    pairs.  h2 counts the vertices outside the cache that still have an
+    uncovered edge: each must enter the cache, and a swap lets in one.
+    Both are admissible and consistent (each falls by at most 1 per
+    swap), and so is h = max(h1, h2).  A swap covers new edges only at the
+    entering vertex, so a child's h2 is its parent's count less the
+    entering vertex and plus the leaving one, if they are live; each heap
+    entry carries its live vertices as bits, updated at the entering
+    vertex and its neighbours only.
 
-    On a budget stop the interval is still proven.  Every cover of at most
-    max_length sets keeps an optimal path's frontier state on the heap, at
-    an f no larger than its length (f is admissible, and stale entries only
-    lower the least f), so the optimum is at least min(least f on the heap,
-    max_length + 1) + k reads, and at least the edge bound.
+    h only prunes; it never orders.  The search runs under a length
+    threshold L and skips every push with g + h > L, though the state
+    still enters the table.  The first L is the least 1 + h over the start
+    sets; when the heap empties with no goal, L rises to the least g + h
+    it pruned, and the search starts again.  This keeps the witness of
+    the unpruned A* on (g + h1, g, push order).  h is consistent, so a
+    pruned (state, g) has only pruned children at g + 1, and since h
+    depends on the state alone, every kept g of a state is less than
+    every pruned one.  So a table entry left by a pruned push only
+    rejects pushes that would be pruned too, and the pruned run pops a
+    subsequence of the unpruned run's pops, in the same order, with the
+    same least g and parent for every kept state.  Every state on the
+    path to the first goal that the unpruned run pops has g + h <= its
+    length L*, so once L = L* that goal is in the subsequence and is still
+    popped first; and no threshold below L* pops a goal, whose h is 0.
+
+    On a budget stop the interval is still proven.  Each exhausted
+    threshold refutes every cover of at most L sets, and the next L is
+    the least pruned g + h, so every cover has at least L sets (the first
+    L is least over the start sets, so it holds from the start).  Only
+    covers of at most max_length sets are searched, so the optimum is at
+    least min(L, max_length + 1) + k reads, and at least the edge bound.
     """
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
@@ -362,78 +387,107 @@ def exact_ck(g, k, budget=None):
     labels = sorted(g.vertices)
     index = {v: i for i, v in enumerate(labels)}
     n = len(labels)
-    # incident[v]: (neighbour bit, edge bit) per edge at v
+    # incident[v]: (neighbour bit, edge bit, neighbour) per edge at v
     incident = [[] for _ in range(n)]
+    edges_at = [0] * n  # edges_at[v]: the edge bits at v
     for bit, (u, v) in enumerate(g.edges):
         i, j = index[u], index[v]
-        incident[i].append((1 << j, 1 << bit))
-        incident[j].append((1 << i, 1 << bit))
+        incident[i].append((1 << j, 1 << bit, j))
+        incident[j].append((1 << i, 1 << bit, i))
+        edges_at[i] |= 1 << bit
+        edges_at[j] |= 1 << bit
     num_edges = g.num_edges
     full_mask = (1 << num_edges) - 1
 
-    heap = []
-    # key -> (least path length found, parent key on that path)
-    table = {}
-    counter = itertools.count()
+    starts = []  # (h1, h, key, live) per start set, in push order
     for combo in itertools.combinations(range(n), k + 1):
         cache = sum(1 << i for i in combo)
         covered = 0
         for i in combo:
-            for wbit, ebit in incident[i]:
+            for wbit, ebit, _ in incident[i]:
                 if cache & wbit:
                     covered |= ebit
-        key = (cache, covered)
-        h = -(-(num_edges - covered.bit_count()) // k)
-        table[key] = (1, None)
-        heapq.heappush(heap, (1 + h, 1, next(counter), key))
+        # live: the vertices with an uncovered edge, as bits
+        live = sum(1 << v for v in range(n) if edges_at[v] & ~covered)
+        h1 = -(-(num_edges - covered.bit_count()) // k)
+        h2 = (live & ~cache).bit_count()
+        starts.append((h1, max(h1, h2), (cache, covered), live))
 
+    limit = 1 + min(start[1] for start in starts)  # L
     try:
-        while heap:
-            state.tick()
-            f, glen, _, key = heapq.heappop(heap)
-            if glen > table[key][0]:
-                continue
-            cache, covered = key
-            if covered == full_mask:
-                sets = []
-                cur = key
-                while cur is not None:
-                    sets.append(frozenset(labels[i] for i in range(n)
-                                          if cur[0] >> i & 1))
-                    cur = table[cur][1]
-                sets.reverse()
-                cov = CoverSequence(g, k, tuple(sets))
-                check = verify_cover(cov)
-                if not check.valid:
-                    raise VerificationError(
-                        f"exact_ck witness missed {check.uncovered}")
-                return state.result(OPTIMAL, check.reads, cov,
-                                    check.reads, check.reads)
-            if glen + 1 > budget.max_length:
-                continue
-            ng = glen + 1
-            for out in range(n):
-                if not cache >> out & 1:
+        while limit <= budget.max_length:
+            heap = []
+            # key -> (least path length found, parent key on that path)
+            table = {}
+            counter = itertools.count()
+            pruned = math.inf  # the least g + h pruned under this L
+            for h1, h, key, live in starts:
+                table[key] = (1, None)
+                if 1 + h > limit:
+                    pruned = min(pruned, 1 + h)
                     continue
-                rest = cache ^ (1 << out)
-                for new in range(n):
-                    if cache >> new & 1:
+                heapq.heappush(heap, (1 + h1, 1, next(counter), key, live))
+            while heap:
+                state.tick()
+                _, glen, _, key, live = heapq.heappop(heap)
+                if glen > table[key][0]:
+                    continue
+                cache, covered = key
+                if covered == full_mask:
+                    sets = []
+                    cur = key
+                    while cur is not None:
+                        sets.append(frozenset(labels[i] for i in range(n)
+                                              if cur[0] >> i & 1))
+                        cur = table[cur][1]
+                    sets.reverse()
+                    cov = CoverSequence(g, k, tuple(sets))
+                    check = verify_cover(cov)
+                    if not check.valid:
+                        raise VerificationError(
+                            f"exact_ck witness missed {check.uncovered}")
+                    return state.result(OPTIMAL, check.reads, cov,
+                                        check.reads, check.reads)
+                outside = (live & ~cache).bit_count()
+                ng = glen + 1
+                for out in range(n):
+                    if not cache >> out & 1:
                         continue
-                    ncov = covered
-                    for wbit, ebit in incident[new]:
-                        if rest & wbit:
-                            ncov |= ebit
-                    nkey = (rest | 1 << new, ncov)
-                    if ng < table.get(nkey, _UNSEEN)[0]:
+                    rest = cache ^ (1 << out)
+                    h2_out = outside + (live >> out & 1)
+                    for new in range(n):
+                        if cache >> new & 1:
+                            continue
+                        ncov = covered
+                        for wbit, ebit, _ in incident[new]:
+                            if rest & wbit:
+                                ncov |= ebit
+                        nkey = (rest | 1 << new, ncov)
+                        if ng >= table.get(nkey, _UNSEEN)[0]:
+                            continue
                         table[nkey] = (ng, key)
-                        h = -(-(num_edges - ncov.bit_count()) // k)
-                        heapq.heappush(heap, (ng + h, ng, next(counter), nkey))
+                        h1 = -(-(num_edges - ncov.bit_count()) // k)
+                        h2 = h2_out - (live >> new & 1)
+                        f = ng + (h1 if h1 > h2 else h2)
+                        if f > limit:
+                            if f < pruned:
+                                pruned = f
+                            continue
+                        # only new and its neighbours in rest gained edges
+                        nlive = live
+                        for wbit, _, w in incident[new]:
+                            if rest & wbit and not edges_at[w] & ~ncov:
+                                nlive &= ~wbit
+                        if not edges_at[new] & ~ncov:
+                            nlive &= ~(1 << new)
+                        heapq.heappush(heap, (ng + h1, ng, next(counter),
+                                              nkey, nlive))
+            limit = pruned
         raise _Exhausted("max_length")
     except _Exhausted as exc:
         edge_bound = bounds(g, k).edge_bound
         lo = math.ceil(edge_bound) if edge_bound is not None else k + 1
-        frontier = heap[0][0] if heap else math.inf
-        lo = max(lo, min(frontier, budget.max_length + 1) + k)
+        lo = max(lo, min(limit, budget.max_length + 1) + k)
         return state.result(UNKNOWN, None, None, lo, None, stop=exc.args[0])
 
 

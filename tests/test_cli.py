@@ -433,12 +433,14 @@ def test_every_flag_is_read():
 
 
 @pytest.mark.parametrize("case", ["graph-dir", "seq-dir", "target-out-dir",
-                                  "graph-not-utf8"])
+                                  "graph-not-utf8", "seq-not-utf8"])
 def test_unreadable_paths_exit_2(capsys, tmp_path, k4_file, case):
     k33 = tmp_path / "k33.edges"
     k33.write_text(serialize_graph(complete_bipartite(3, 3)))
     latin1 = tmp_path / "latin1.edges"
     latin1.write_bytes("caf\xe9 b\n".encode("latin-1"))
+    seq = tmp_path / "latin1.seq"
+    seq.write_bytes("a b\r\nc d\n\xe9\n".encode("latin-1"))
     argv = {"graph-dir": ["bounds", "--k", "1", "--graph", str(tmp_path)],
             "seq-dir": ["verify", "radius", "--k", "2", "--graph", k4_file,
                         "--seq", str(tmp_path)],
@@ -446,10 +448,19 @@ def test_unreadable_paths_exit_2(capsys, tmp_path, k4_file, case):
                                "--graph", str(k33),
                                "--target-out", str(tmp_path)],
             "graph-not-utf8": ["bounds", "--k", "1",
-                               "--graph", str(latin1)]}[case]
+                               "--graph", str(latin1)],
+            "seq-not-utf8": ["verify", "radius", "--k", "2",
+                             "--graph", k4_file, "--seq", str(seq)]}[case]
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert err.startswith("usage error:") and "Traceback" not in err
+    if case == "graph-not-utf8":
+        assert err == (f"usage error: {latin1}: line 1: "
+                       f"not UTF-8 text (byte 0xe9)\n")
+    if case == "seq-not-utf8":  # the bad one of two input files
+        assert err == (f"usage error: {seq}: line 3: "
+                       f"not UTF-8 text (byte 0xe9)\n")
+        assert k4_file not in err
 
 
 def test_wk_rejects_small_alphabets(capsys):

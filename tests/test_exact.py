@@ -255,6 +255,31 @@ def test_exact_ck_matches_reference():
     assert compared >= 20
 
 
+@pytest.mark.parametrize("g,k", [(cycle(8), 3), (path(8), 2)])
+def test_exact_ck_benchmark_witnesses(g, k):
+    # beyond ORACLE_BUDGET: the reference runs with no node budget
+    expected = exact_ck_reference(g, k)
+    result = exact_ck(g, k)
+    assert expected.is_optimal and result == expected
+    assert (serialize_cover_sequence(result.witness)
+            == serialize_cover_sequence(expected.witness))
+
+
+def test_exact_ck_prunes_by_entry_count():
+    # ceil(uncovered / k) alone pops 45,546 states here
+    result = exact_ck(cycle(10), 3, SearchBudget(node_limit=5000))
+    assert result.is_optimal and result.optimum == 10
+
+
+def test_exact_ck_success_skips_bounds(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("bounds() called on a successful run")
+
+    monkeypatch.setattr(exact, "bounds", refuse)
+    for g, k in [(complete(5), 1), (cycle(8), 3), (path(8), 2)]:
+        assert exact_ck(g, k).is_optimal
+
+
 def _orbits(g):
     return _automorphism_orbits(g, _SearchState(SearchBudget()))
 
