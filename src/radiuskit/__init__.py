@@ -23,10 +23,9 @@ from .hardness import (CoverReductionInstance, RadiusReductionInstance,
                        cover1_witness_to_coverk, hampath_witness_to_sequence,
                        loss_count, reduce_cover1_to_coverk,
                        reduce_hampath_to_radius)
-from .radius import (BoundsReport, CoverSequence, PatternBlock,
-                     VertexSequence, bounds, construct_bipartite,
-                     cover_strategy_bipartite, euler_radius1,
-                     linearize_cyclic, maxcut_circulant, verify_cover,
-                     verify_radius)
+from .radius import (BoundsReport, CoverSequence, VertexSequence, bounds,
+                     construct_bipartite, cover_strategy_bipartite,
+                     euler_radius1, linearize_cyclic, maxcut_circulant,
+                     verify_cover, verify_radius)
 
 __version__ = "0.1.0"

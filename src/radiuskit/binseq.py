@@ -64,7 +64,6 @@ class CyclicBitString:
 class BadPairReport(NamedTuple):
     bad_count: int
     good_count: int
-    per_index_bad: tuple
 
 
 def _pair_offsets(s, k, mode):
@@ -83,23 +82,16 @@ def _pair_offsets(s, k, mode):
 
 
 def count_bad_pairs(seq, k):
-    """Exact bad/good pair counts plus the per-index bad-pair tally."""
+    """Exact bad/good pair counts."""
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
     s = len(seq)
     if s < 2:
         raise InvalidParameterError(f"need at least 2 symbols, got {s}")
     symbols = seq.symbols
-    bad = good = 0
-    per_index = [0] * s
-    for i, j in _pair_offsets(s, k, seq.mode):
-        if symbols[i] == symbols[j]:
-            bad += 1
-            per_index[i] += 1
-            per_index[j] += 1
-        else:
-            good += 1
-    return BadPairReport(bad, good, tuple(per_index))
+    same = [symbols[i] == symbols[j] for i, j in _pair_offsets(s, k, seq.mode)]
+    bad = sum(same)
+    return BadPairReport(bad, len(same) - bad)
 
 
 def _rotation_distances(k, s):

@@ -46,22 +46,23 @@ class _Output:
                 print(line)
 
 
-def _read(path):
-    """The file's text; every parser splits it with `str.splitlines`, so
-    its line ends need no translation."""
+def _parse_file(parse, path, *args):
+    """`parse` run on the file's text and `args`; every ParseError names the
+    file.  Every parser splits the text with `str.splitlines`, so its line
+    ends need no translation."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # the line of the first bad byte, numbered as splitlines does
         line = len((data[:exc.start].decode("utf-8") + ".").splitlines())
         raise ParseError(f"not UTF-8 text (byte 0x{data[exc.start]:02x})",
                          line=line, path=path) from None
-
-
-def _load_graph(path):
-    return graphs.parse_graph(_read(path))
+    try:
+        return parse(text, *args)
+    except ParseError as exc:
+        raise ParseError(exc.reason, line=exc.line, path=path) from None
 
 
 def _cmd_ak(args, out):
@@ -107,7 +108,7 @@ def _cmd_lowbad(args, out):
 
 
 def _cmd_bounds(args, out):
-    g = _load_graph(args.graph)
+    g = _parse_file(graphs.parse_graph, args.graph)
     report = radius.bounds(g, args.k)
     if args.bipartite and not report.bipartite:
         raise InputError("graph is not bipartite")
@@ -128,15 +129,15 @@ def _cmd_bounds(args, out):
 
 
 def _cmd_verify(args, out):
-    g = _load_graph(args.graph)
+    g = _parse_file(graphs.parse_graph, args.graph)
     if args.kind == "radius":
         mode = radius.CYCLIC if args.cyclic else radius.LINEAR
-        seq = radius.parse_vertex_sequence(_read(args.seq), g, mode=mode)
+        seq = _parse_file(radius.parse_vertex_sequence, args.seq, g, mode)
         check = radius.verify_radius(seq, args.k)
         record = {"op": "verify-radius", "length": len(seq)}
         size = f"{len(seq)} items"
     else:
-        cov = radius.parse_cover_sequence(_read(args.seq), g, args.k)
+        cov = _parse_file(radius.parse_cover_sequence, args.seq, g, args.k)
         check = radius.verify_cover(cov)
         record = {"op": "verify-cover", "reads": check.reads}
         size = f"reads {check.reads}"
@@ -171,7 +172,7 @@ def _cmd_construct(args, out):
         lines += [" ".join(sorted(s)) for s in cov.sets]
         out.emit(record, lines)
     else:  # euler1
-        g = _load_graph(args.graph)
+        g = _parse_file(graphs.parse_graph, args.graph)
         seq = radius.euler_radius1(g)
         record = {"op": "construct-euler1", "length": len(seq),
                   "sequence": " ".join(seq.items)}
@@ -181,7 +182,7 @@ def _cmd_construct(args, out):
 
 
 def _cmd_exact(args, out):
-    g = _load_graph(args.graph)
+    g = _parse_file(graphs.parse_graph, args.graph)
     if args.kind == "maxcut":
         value = exact.exact_maxcut(g)
         out.emit({"op": "exact-maxcut", "value": value},
@@ -234,7 +235,7 @@ def _cmd_maxcut(args, out):
 
 
 def _cmd_reduce(args, out):
-    g = _load_graph(args.graph)
+    g = _parse_file(graphs.parse_graph, args.graph)
     if args.kind == "ham-radius":
         inst = hardness.reduce_hampath_to_radius(g, args.k)
     else:
@@ -252,9 +253,9 @@ def _cmd_reduce(args, out):
             fh.write(hardness.serialize_metadata(inst))
         lines.append(f"metadata written to {args.meta_out}")
     if args.witness:
-        text = _read(args.witness)
         if args.kind == "ham-radius":
-            path_vertices = radius.parse_vertex_sequence(text, g).items
+            path_vertices = _parse_file(radius.parse_vertex_sequence,
+                                        args.witness, g).items
             seq = hardness.hampath_witness_to_sequence(inst, path_vertices)
             record["witness_length"] = len(seq)
             record["witness"] = " ".join(seq.items)
@@ -262,7 +263,7 @@ def _cmd_reduce(args, out):
                          f"{inst.threshold})")
             lines.append(" ".join(seq.items))
         else:
-            edge_list = graphs.parse_graph(text).edges
+            edge_list = _parse_file(graphs.parse_graph, args.witness).edges
             cov = hardness.cover1_witness_to_coverk(inst, edge_list)
             record["witness_length"] = len(cov)
             record["losses"] = inst.witness_losses

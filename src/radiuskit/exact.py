@@ -79,13 +79,14 @@ class _SearchState:
             raise _Exhausted("time limit")
 
 
-def _automorphism_orbits(g, state, fixed=()):
-    """Vertex orbits under the automorphisms fixing each vertex of `fixed`.
+def _automorphism_orbits(nbrs, state, fixed_bits):
+    """Each vertex's orbit root under the automorphisms fixing `fixed_bits`.
 
-    With `fixed` empty that is the full automorphism group; otherwise it is
-    the pointwise stabilizer of the labels in `fixed`, each of which is then
-    an orbit of its own.  Orbits come in the order of their first member in
-    `g.vertices`, and list their members in that order.  For each unfixed
+    The graph is given on the indices 0..n-1 by `nbrs`, each vertex's
+    neighbour list, and `fixed_bits` is a set of vertices as bits.  The
+    result lists per vertex the least member of its orbit under the
+    pointwise stabilizer of that set (with no bit set, under the full
+    automorphism group); a fixed vertex is its own root.  For each unfixed
     vertex v that no earlier vertex reaches, and each later unfixed vertex
     u of v's degree not yet known to share or to miss v's orbit, a
     backtracking search looks for an automorphism taking v to u; each one
@@ -97,14 +98,9 @@ def _automorphism_orbits(g, state, fixed=()):
     that neighbour's image.  Every step ticks `state`, so the run's node
     and time budgets bound it.
     """
-    vs = g.vertices
-    n = len(vs)
-    index = g.index
-    nbrs = [[index[w] for w in g.neighbors(v)] for v in vs]
+    n = len(nbrs)
     deg = [len(a) for a in nbrs]
-    pinned = [False] * n
-    for v in fixed:
-        pinned[index[v]] = True
+    pinned = [bool(fixed_bits >> v & 1) for v in range(n)]
     parent = list(range(n))  # union-find; a root is its orbit's least vertex
 
     def find(i):
@@ -197,10 +193,7 @@ def _automorphism_orbits(g, state, fixed=()):
             for i, j in enumerate(image):
                 a, b = find(i), find(j)
                 parent[max(a, b)] = min(a, b)
-    orbits = {}
-    for i in range(n):
-        orbits.setdefault(find(i), []).append(vs[i])
-    return [tuple(members) for members in orbits.values()]
+    return [find(i) for i in range(n)]
 
 
 def exact_fk(g, k, mode=LINEAR, budget=None):
@@ -213,7 +206,7 @@ def exact_fk(g, k, mode=LINEAR, budget=None):
 
     The search runs on the indices of the non-isolated vertices in
     `g.vertices` order, with the covered edges as an int bitmask (bit i is
-    the i-th edge in sorted order) and memo keys of int tuples.  It tries
+    the i-th edge of `g.edges`) and memo keys of int tuples.  It tries
     the vertices in index order and returns the first witness it reaches.
     In linear mode the memo only drops states that cannot complete (a
     shorter completion pads to a longer one by repeating its last vertex),
@@ -228,10 +221,11 @@ def exact_fk(g, k, mode=LINEAR, budget=None):
     element, so w was not first.  It also keeps the memo sound: such an
     automorphism fixes the prefix's covered edges and maps each pruned
     child's completions onto those of a child that is tried, so a node
-    still fails only if it has no completion.  The choices are cached by
-    the distinct prefix vertices as bits (capped as the memo is); once
-    every orbit is a single vertex, every larger prefix set tries all
-    vertices without a lookup.  The orbit searches tick the budget.
+    still fails only if it has no completion.  The orbits are computed on
+    the search's own indices and neighbour lists, and the choices are
+    cached by the distinct prefix vertices as bits (capped as the memo
+    is); once every orbit is a single vertex, every larger prefix set
+    tries all vertices without a lookup.  The orbit searches tick the budget.
     """
     if g.num_edges < 1:
         raise InvalidParameterError("need at least one edge")
@@ -240,21 +234,24 @@ def exact_fk(g, k, mode=LINEAR, budget=None):
     budget = budget or SearchBudget()
     report = bounds(g, k)
     cyclic = mode == CYCLIC
-    labels = [v for v in g.vertices if g.degree(v) > 0]
-    index = {v: i for i, v in enumerate(labels)}
-    vertices = range(len(labels))
-    pairbit = [[0] * len(labels) for _ in vertices]
-    for bit, (u, v) in enumerate(sorted(tuple(sorted(e)) for e in g.edges)):
-        i, j = index[u], index[v]
+    # the non-isolated vertices get the indices 0..n-1 in g.vertices order
+    active = np.bincount(g.ends.ravel(), minlength=g.num_vertices) > 0
+    labels = [v for v, on in zip(g.vertices, active.tolist()) if on]
+    n = len(labels)
+    vertices = range(n)
+    pairbit = [[0] * n for _ in vertices]
+    nbrs = [[] for _ in vertices]
+    for bit, (i, j) in enumerate((np.cumsum(active) - 1)[g.ends].tolist()):
         pairbit[i][j] = pairbit[j][i] = 1 << bit
-    no_pairs = [0] * len(labels)
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    no_pairs = [0] * n
     num_edges = g.num_edges
     full_mask = (1 << num_edges) - 1
 
-    lower = max(report.fk_lower, len(labels), 1)
+    lower = max(report.fk_lower, n, 1)
     if cyclic:
-        lower = max(math.ceil(num_edges / k), report.fk_lower - k,
-                    len(labels), 1)
+        lower = max(math.ceil(num_edges / k), report.fk_lower - k, n, 1)
     wrap_bonus = k * (k + 1) // 2 if cyclic else 0
 
     state = _SearchState(budget)
@@ -267,11 +264,9 @@ def exact_fk(g, k, mode=LINEAR, budget=None):
         """The least vertex of each orbit fixing the vertices in `seen`."""
         least = tries.get(seen)
         if least is None:
-            fixed = [labels[i] for i in vertices if seen >> i & 1]
-            least = [index[members[0]]
-                     for members in _automorphism_orbits(g, state, fixed)
-                     if members[0] in index]
-            if len(least) == len(labels):
+            root = _automorphism_orbits(nbrs, state, seen)
+            least = [v for v in vertices if root[v] == v]
+            if len(least) == n:
                 least = vertices
             if len(tries) >= MEMO_CAP:
                 tries.clear()

@@ -1,7 +1,8 @@
 """Simple undirected graphs with string labels, generators, and file I/O.
 
-Labels are arbitrary non-whitespace tokens so gadget provenance survives
-into witnesses and error messages.  Graphs are immutable after construction
+Labels are arbitrary non-whitespace tokens without '#' (which starts a
+comment in every file format), so gadget provenance survives into
+witnesses and error messages.  Graphs are immutable after construction
 and preserve vertex/edge insertion order, which keeps serialization and all
 downstream tie-breaks deterministic.
 """
@@ -44,6 +45,9 @@ class Graph:
         for v in index:
             if v.split() != [v]:  # empty or holding whitespace
                 raise InputError(f"label {v!r} must be a non-whitespace token")
+            if "#" in v:  # every file format reads '#' as a comment
+                raise InputError(
+                    f"label {v!r} holds '#', which starts a comment")
         self._set(index, np.array(ends, dtype=np.int64).reshape(-1, 2))
 
     @classmethod

@@ -277,32 +277,12 @@ def linearize_cyclic(seq, k):
     return VertexSequence(seq.graph, seq.items + seq.items[:k], mode=LINEAR)
 
 
-@dataclass(frozen=True)
-class PatternBlock:
-    """One period of the block pattern used by the bipartite construction."""
-
-    pattern: str
-    c0: int
-    c1: int
-    r: int  # linear within-distance good pairs of the pattern
-
-
-def _make_pattern_block(k, q, cycle_word, phase):
-    word = cycle_word[phase:] + cycle_word[:phase]
-    symbols = word * q
-    text = "".join(str(s) for s in symbols)
-    report = binseq.count_bad_pairs(
-        binseq.CyclicBitString(symbols, mode=binseq.LINEAR), k)
-    return PatternBlock(pattern=text, c0=symbols.count(0),
-                        c1=symbols.count(1), r=report.good_count)
-
-
 class BipartiteConstruction(NamedTuple):
     sequence: VertexSequence
     length: int
     lower_bound: Fraction  # m*n/(k - a_k)
     ratio: float
-    block: Optional[PatternBlock]
+    block: Optional[tuple]  # one period of the block pattern, 0 X / 1 Y
     blocks_used: int
 
 
@@ -366,9 +346,8 @@ def construct_bipartite(m, n, k, epsilon_hint=0.5, seed=0):
         while q >= 1 and (q * zeros > m or q * ones > n):
             q -= 1
         if q >= 1 and q * opt.length > 2 * k:
-            rng = random.Random(seed)
-            block = _make_pattern_block(k, q, opt.symbols,
-                                        rng.randrange(opt.length))
+            phase = random.Random(seed).randrange(opt.length)
+            block = (opt.symbols[phase:] + opt.symbols[:phase]) * q
 
     # Vertices are indices x_i -> i-1, y_j -> m+j-1 (g.vertices order); side
     # 0 is X, side 1 is Y.  rows[0][i, j] = rows[1][j, i] = 1 while pair
@@ -414,14 +393,13 @@ def construct_bipartite(m, n, k, epsilon_hint=0.5, seed=0):
 
     blocks_used = 0
     if block is not None:
-        pattern = [int(ch) for ch in block.pattern]
         used = k + 1  # offset marking a vertex used in this block
         while remaining > 0:
             before = remaining
             chosen = []
-            for sym in pattern:
+            for sym in block:
                 # the lowest unused index among the best: used ones score
-                # below 0, and c0 <= m, c1 <= n leave an unused one
+                # below 0, and at most m 0s and n 1s leave an unused one
                 best = int(score[sym].argmax())
                 score_at[sym][best] -= used
                 chosen.append((sym, best))
@@ -430,7 +408,7 @@ def construct_bipartite(m, n, k, epsilon_hint=0.5, seed=0):
                 score_at[sym][best] += used
             blocks_used += 1
             # stop once a block stops beating the sweep's 1 pair per 2 slots
-            if (before - remaining) * 2 < len(pattern):
+            if (before - remaining) * 2 < len(block):
                 break
 
     open_x, open_y = np.nonzero(rows[0])

@@ -340,7 +340,24 @@ def test_reduce_cover_witness_parse_errors(capsys, tmp_path, text, message):
                                   "--graph", str(graph_file),
                                   "--witness", str(witness)])
     assert code == 2 and out == ""
-    assert err.startswith(f"usage error: {message}")
+    assert err.startswith(f"usage error: {witness}: {message}")
+
+
+def test_parse_errors_name_the_file(capsys, tmp_path, k4_file):
+    bad_graph = tmp_path / "three.edges"
+    bad_graph.write_text("v1 v2\nv1 v2 v3\n")
+    code, out, err = run(capsys, ["bounds", "--k", "1",
+                                  "--graph", str(bad_graph)])
+    assert (code, out) == (2, "")
+    assert err == (f"usage error: {bad_graph}: line 2: "
+                   f"expected two labels, got 3\n")
+    bad_seq = tmp_path / "repeat.seq"
+    bad_seq.write_text("v1 v2\nv3 v3\n")
+    code, out, err = run(capsys, ["verify", "cover", "--k", "1",
+                                  "--graph", k4_file, "--seq", str(bad_seq)])
+    assert (code, out) == (2, "")
+    assert err == (f"usage error: {bad_seq}: line 2: "
+                   f"repeated label inside a set\n")
 
 
 def test_reduce_domain_error(capsys, tmp_path):

@@ -230,6 +230,23 @@ def test_exact_fk_matches_reference():
         assert _compare_fk([g], SearchBudget(node_limit=20_000)) >= 2, g.edges
 
 
+def test_exact_fk_witness_ignores_edge_order():
+    # the covered-edge bits follow edge order; the witness must not
+    compared = 0
+    for g in _oracle_graphs(11, 20):
+        flipped = Graph(g.vertices, [(v, u) for u, v in reversed(g.edges)])
+        for k in (1, 2, 3):
+            for mode in ("linear", "cyclic"):
+                result = exact_fk(g, k, mode, ORACLE_BUDGET)
+                if not result.is_optimal:
+                    continue
+                again = exact_fk(flipped, k, mode, ORACLE_BUDGET)
+                assert again == result, (g.edges, k, mode)
+                assert again.witness.items == result.witness.items
+                compared += 1
+    assert compared >= 80
+
+
 def test_k44_witness():
     # pruning at the first position only took 3.8 M nodes
     result = exact_fk(complete_bipartite(4, 4), 2)
@@ -251,6 +268,28 @@ def test_exact_ck_matches_reference():
             assert result == expected, (g.edges, k)
             assert (serialize_cover_sequence(result.witness)
                     == serialize_cover_sequence(expected.witness))
+            compared += 1
+    assert compared >= 20
+
+
+def test_exact_ck_witness_ignores_input_order():
+    rng = random.Random(13)
+    compared = 0
+    for g in _oracle_graphs(12, 20):
+        vertices, edges = list(g.vertices), list(g.edges)
+        rng.shuffle(vertices)
+        rng.shuffle(edges)
+        shuffled = Graph(vertices, edges)
+        for k in (1, 2, 3):
+            if g.num_vertices <= k + 1:
+                continue
+            result = exact_ck(g, k, ORACLE_BUDGET)
+            if not result.is_optimal:
+                continue
+            again = exact_ck(shuffled, k, ORACLE_BUDGET)
+            assert again == result, (g.edges, k)
+            assert (serialize_cover_sequence(again.witness)
+                    == serialize_cover_sequence(result.witness))
             compared += 1
     assert compared >= 20
 
@@ -280,8 +319,19 @@ def test_exact_ck_success_skips_bounds(monkeypatch):
         assert exact_ck(g, k).is_optimal
 
 
-def _orbits(g):
-    return _automorphism_orbits(g, _SearchState(SearchBudget()))
+def _orbits(g, fixed=()):
+    """`_automorphism_orbits` run on g's indices, as label orbits in the
+    form of `automorphism_orbits_reference`."""
+    nbrs = [[] for _ in g.vertices]
+    for a, b in g.ends.tolist():
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    fixed_bits = sum(1 << g.index[v] for v in fixed)
+    root = _automorphism_orbits(nbrs, _SearchState(SearchBudget()), fixed_bits)
+    orbits = {}
+    for v, r in zip(g.vertices, root):
+        orbits.setdefault(r, []).append(v)
+    return [tuple(members) for members in orbits.values()]
 
 
 def test_automorphism_orbits_match_reference():
@@ -302,9 +352,7 @@ def test_stabilizer_orbits_match_reference():
         for _ in range(3):
             fixed = rng.sample(g.vertices, rng.randint(1, g.num_vertices))
             expected = automorphism_orbits_reference(g, fixed=fixed)
-            assert _automorphism_orbits(
-                g, _SearchState(SearchBudget()), fixed) == expected, (
-                    g.edges, fixed)
+            assert _orbits(g, fixed) == expected, (g.edges, fixed)
 
 
 def test_k33_target_witness_and_orbit():
@@ -325,10 +373,11 @@ def test_k33_target_witness_and_orbit():
 def test_orbit_searches_stop_at_a_trivial_stabilizer(monkeypatch):
     searched = []
 
-    def recording(g, state, fixed=()):
-        orbits = _automorphism_orbits(g, state, fixed)
-        searched.append((frozenset(fixed), len(orbits) == g.num_vertices))
-        return orbits
+    def recording(nbrs, state, fixed_bits):
+        root = _automorphism_orbits(nbrs, state, fixed_bits)
+        fixed = frozenset(v for v in range(len(nbrs)) if fixed_bits >> v & 1)
+        searched.append((fixed, root == list(range(len(nbrs)))))
+        return root
 
     monkeypatch.setattr(exact, "_automorphism_orbits", recording)
     target = reduce_hampath_to_radius(complete_bipartite(3, 3), 2).target

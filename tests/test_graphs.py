@@ -141,6 +141,13 @@ def test_parse_errors():
         serialize_graph(Graph(("lonely",), ()))
 
 
+def test_graph_rejects_comment_labels():
+    # serialize_graph would write 'a#1 b', which parses as the line 'a'
+    for vertices, edges in [((), [("a#1", "b")]), (("#",), ())]:
+        with pytest.raises(InputError, match="'#'"):
+            Graph(vertices, edges)
+
+
 def test_line_graph_rejects_separator_labels():
     # 'a|b c' and 'a b|c' would both be labelled 'a|b|c'
     g = Graph((), [("a|b", "c"), ("a", "b|c"), ("c", "a")])

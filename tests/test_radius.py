@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radiuskit import debruijn, radius
+from radiuskit.binseq import CyclicBitString, count_bad_pairs
 from radiuskit.errors import (BudgetError, InputError, InvalidParameterError,
                               StructureError)
 from radiuskit.exact import exact_fk, exact_maxcut
@@ -325,7 +326,7 @@ def test_construct_bipartite_matches_reference():
             with_blocks += 1
             # a block never runs out of unused vertices on either side, so
             # the reference's "all used" break cannot fire
-            assert result.block.c0 <= m and result.block.c1 <= n
+            assert result.block.count(0) <= m and result.block.count(1) <= n
     assert with_blocks >= 100
 
 
@@ -366,9 +367,11 @@ def test_pattern_block_good_pair_floor():
         block = result.block
         assert block is not None
         a = debruijn.ak(k)
-        length = len(block.pattern)
-        assert block.c0 + block.c1 == length
-        assert block.r >= (k - a) * length - Fraction(k * (k + 1), 2)
+        length = len(block)
+        assert block.count(0) + block.count(1) == length
+        good = count_bad_pairs(CyclicBitString(block, mode="linear"),
+                               k).good_count
+        assert good >= (k - a) * length - Fraction(k * (k + 1), 2)
 
 
 def test_cover_strategy_examples():
