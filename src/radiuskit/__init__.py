@@ -9,8 +9,7 @@ two hardness-reduction instance builders.
 from .binseq import (BadPairReport, CyclicBitString, characteristic,
                      construct_low_bad, count_bad_pairs, wk_exact)
 from .debruijn import (DeBruijnGraph, OptimalCycle, ak, ak_bounds,
-                       build_debruijn, check_certificate, dk,
-                       min_normalized_cycle, zk)
+                       check_certificate, dk, min_normalized_cycle, zk)
 from .errors import (BudgetError, InputError, InvalidParameterError,
                      ParseError, RadiuskitError, StructureError,
                      UnsupportedLengthError, VerificationError, WitnessError)

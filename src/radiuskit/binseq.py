@@ -9,6 +9,7 @@ by a minimum-weight closed-walk dynamic program over the de Bruijn graph,
 and the two routes cross-check each other.
 """
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -66,32 +67,28 @@ class BadPairReport(NamedTuple):
     good_count: int
 
 
-def _pair_offsets(s, k, mode):
-    """Yield (i, j) for every unordered within-distance pair, exactly once.
-
-    Each distance d pairs position i with i + d for the first `span`
-    positions: s - d of them in linear mode, s // fold cyclically.
-    """
-    if mode == LINEAR:
-        spans = [(d, s - d) for d in range(1, min(k, s - 1) + 1)]
-    else:
-        spans = [(d, s // fold) for d, fold in _rotation_distances(k, s)[0]]
-    for d, span in spans:
-        for i in range(span):
-            yield i, (i + d) % s
-
-
 def count_bad_pairs(seq, k):
-    """Exact bad/good pair counts."""
+    """Exact bad/good pair counts.
+
+    Each distance d compares position i with i + d for the first `span`
+    positions, which meets every within-distance pair exactly once: s - d
+    positions in linear mode, s // fold cyclically (see
+    `_rotation_distances`), there indexing the doubled string.
+    """
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
     s = len(seq)
     if s < 2:
         raise InvalidParameterError(f"need at least 2 symbols, got {s}")
-    symbols = seq.symbols
-    same = [symbols[i] == symbols[j] for i, j in _pair_offsets(s, k, seq.mode)]
-    bad = sum(same)
-    return BadPairReport(bad, len(same) - bad)
+    if seq.mode == LINEAR:
+        spans = [(d, s - d) for d in range(1, min(k, s - 1) + 1)]
+    else:
+        spans = [(d, s // fold) for d, fold in _rotation_distances(k, s)[0]]
+    x = seq.symbols
+    xx = x + x
+    bad = sum(sum(map(operator.eq, x[:span], xx[d:d + span]))
+              for d, span in spans)
+    return BadPairReport(bad, sum(span for _, span in spans) - bad)
 
 
 def _rotation_distances(k, s):
@@ -345,7 +342,7 @@ def construct_low_bad(k, s):
     """
     if s < 1:
         raise InvalidParameterError(f"length must be >= 1, got {s}")
-    cycle = debruijn.min_normalized_cycle(debruijn.build_debruijn(k))
+    cycle = debruijn.min_normalized_cycle(debruijn.DeBruijnGraph(k))
     ell = cycle.length
     if s < ell:
         raise UnsupportedLengthError(

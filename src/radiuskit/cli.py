@@ -47,26 +47,27 @@ class _Output:
 
 
 def _parse_file(parse, path, *args):
-    """`parse` run on the file's text and `args`; every ParseError names the
+    """`parse` run on the file's text and `args`; every error about the
+    file's content (a ParseError, InputError or StructureError) names the
     file.  Every parser splits the text with `str.splitlines`, so its line
     ends need no translation."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # the line of the first bad byte, numbered as splitlines does
-        line = len((data[:exc.start].decode("utf-8") + ".").splitlines())
-        raise ParseError(f"not UTF-8 text (byte 0x{data[exc.start]:02x})",
-                         line=line, path=path) from None
-    try:
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # the line of the first bad byte, numbered as splitlines does
+            line = len((data[:exc.start].decode("utf-8") + ".").splitlines())
+            raise ParseError(f"not UTF-8 text (byte 0x{data[exc.start]:02x})",
+                             line=line)
         return parse(text, *args)
-    except ParseError as exc:
-        raise ParseError(exc.reason, line=exc.line, path=path) from None
+    except (ParseError, InputError, StructureError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _cmd_ak(args, out):
-    g = debruijn.build_debruijn(args.k, args.alphabet)
+    g = debruijn.DeBruijnGraph(args.k, args.alphabet)
     cycle = debruijn.min_normalized_cycle(g)
     record = {"op": "ak", "k": args.k, "alphabet": args.alphabet,
               "value": _fmt_rational(cycle.normalized),
@@ -137,8 +138,9 @@ def _cmd_verify(args, out):
         record = {"op": "verify-radius", "length": len(seq)}
         size = f"{len(seq)} items"
     else:
-        cov = _parse_file(radius.parse_cover_sequence, args.seq, g, args.k)
-        check = radius.verify_cover(cov)
+        # parsed and verified in one call, so a structure error names the file
+        check = _parse_file(lambda text: radius.verify_cover(
+            radius.parse_cover_sequence(text, g, args.k)), args.seq)
         record = {"op": "verify-cover", "reads": check.reads}
         size = f"reads {check.reads}"
     record.update(k=args.k, valid=check.valid,
@@ -164,13 +166,12 @@ def _cmd_construct(args, out):
                           f"ratio {ratio}", text])
     elif args.kind == "cover-bipartite":
         cov = radius.cover_strategy_bipartite(args.m, args.n, args.k)
+        cover = radius.serialize_cover_sequence(cov)
         record = {"op": "construct-cover-bipartite", "k": args.k,
                   "m": args.m, "n": args.n, "sets": len(cov),
-                  "reads": cov.reads,
-                  "cover": radius.serialize_cover_sequence(cov)}
-        lines = [f"{len(cov)} sets, reads {cov.reads}"]
-        lines += [" ".join(sorted(s)) for s in cov.sets]
-        out.emit(record, lines)
+                  "reads": cov.reads, "cover": cover}
+        out.emit(record, [f"{len(cov)} sets, reads {cov.reads}",
+                          *cover.splitlines()])
     else:  # euler1
         g = _parse_file(graphs.parse_graph, args.graph)
         seq = radius.euler_radius1(g)
@@ -270,7 +271,7 @@ def _cmd_reduce(args, out):
             record["witness"] = radius.serialize_cover_sequence(cov)
             lines.append(f"witness length {len(cov)} (target "
                          f"{inst.target_length}), losses {record['losses']}")
-            lines.extend(" ".join(sorted(s)) for s in cov.sets)
+            lines.extend(record["witness"].splitlines())
     out.emit(record, lines)
     return 0
 
@@ -278,7 +279,7 @@ def _cmd_reduce(args, out):
 def _cmd_table2(args, out):
     rows = []
     for k in range(1, 6):
-        cycle = debruijn.min_normalized_cycle(debruijn.build_debruijn(k))
+        cycle = debruijn.min_normalized_cycle(debruijn.DeBruijnGraph(k))
         rows.append({"k": k, "ak": _fmt_rational(cycle.normalized),
                      "cycle": cycle.word})
     out.emit({"op": "table2", "rows": rows},

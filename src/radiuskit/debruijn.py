@@ -48,8 +48,10 @@ class DeBruijnGraph:
     """All t-ary words of length k; edges are the (k+1)-ary words.
 
     Vertices and edges are implicit (integer-encoded), so building the graph
-    is O(1) and k up to word-size limits encodes fine; only the exact cycle
-    search below enforces a vertex budget.
+    is O(1) and k up to word-size limits encodes fine.  The vertex budget
+    is enforced where the vertices are walked: by the exact cycle search
+    below (DEFAULT_MAX_VERTICES unless `max_vertices` raises it) and by
+    `binseq.wk_walk` (DEFAULT_MAX_VERTICES).
     """
 
     k: int
@@ -98,11 +100,6 @@ class OptimalCycle:
         tiled = self.symbols * (self.k // self.length + 2)
         return [_render_symbols(tiled[i:i + self.k], self.alphabet)
                 for i in range(self.length)]
-
-
-def build_debruijn(k, alphabet=2):
-    """Construct the weighted de Bruijn graph for window length k."""
-    return DeBruijnGraph(k=k, alphabet=alphabet)
 
 
 def _digit_counts(k, t, multiplicity=None):
@@ -499,7 +496,7 @@ def ak_bounds(k):
 
 def ak(k, alphabet=2, max_vertices=DEFAULT_MAX_VERTICES):
     """Exact minimum normalized cycle weight (the binary case by default)."""
-    cycle = min_normalized_cycle(build_debruijn(k, alphabet), max_vertices)
+    cycle = min_normalized_cycle(DeBruijnGraph(k, alphabet), max_vertices)
     return cycle.normalized
 
 

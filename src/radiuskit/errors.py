@@ -17,15 +17,11 @@ class InvalidParameterError(RadiuskitError, ValueError):
 
 
 class ParseError(RadiuskitError, ValueError):
-    """A text input is malformed; carries the bare reason, the 1-based line
-    number and, if known, the path of the file."""
+    """A text input is malformed; carries the 1-based line number."""
 
-    def __init__(self, message, line=None, path=None):
-        self.reason = message
+    def __init__(self, message, line=None):
         if line is not None:
             message = f"line {line}: {message}"
-        if path is not None:
-            message = f"{path}: {message}"
         super().__init__(message)
         self.line = line
 

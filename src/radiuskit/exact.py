@@ -15,9 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BudgetError, InvalidParameterError, VerificationError
+from .errors import BudgetError, InvalidParameterError
 from .radius import (CYCLIC, LINEAR, CoverSequence, VertexSequence,
-                     bounds, verify_cover, verify_radius)
+                     bounds, require_valid, verify_cover, verify_radius)
 
 OPTIMAL = "optimal"
 UNKNOWN = "unknown"
@@ -315,10 +315,7 @@ def exact_fk(g, k, mode=LINEAR, budget=None):
             if witness:
                 seq = VertexSequence(
                     g, tuple(labels[i] for i in witness), mode=mode)
-                check = verify_radius(seq, k)
-                if not check.valid:
-                    raise VerificationError(
-                        f"exact_fk witness missed {check.uncovered}")
+                require_valid(verify_radius(seq, k), "exact_fk witness")
                 return state.result(OPTIMAL, length, seq, length, length)
             length += 1
         raise _Exhausted("max_length")
@@ -437,10 +434,8 @@ def exact_ck(g, k, budget=None):
                         cur = table[cur][1]
                     sets.reverse()
                     cov = CoverSequence(g, k, tuple(sets))
-                    check = verify_cover(cov)
-                    if not check.valid:
-                        raise VerificationError(
-                            f"exact_ck witness missed {check.uncovered}")
+                    check = require_valid(verify_cover(cov),
+                                          "exact_ck witness")
                     return state.result(OPTIMAL, check.reads, cov,
                                         check.reads, check.reads)
                 outside = (live & ~cache).bit_count()

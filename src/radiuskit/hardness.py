@@ -15,7 +15,8 @@ from .errors import (InputError, InvalidParameterError, VerificationError,
                      WitnessError)
 from .graphs import (Graph, attach_pendants, edge_label, line_graph,
                      pendant_label)
-from .radius import CoverSequence, VertexSequence, verify_cover, verify_radius
+from .radius import (CoverSequence, VertexSequence, require_valid,
+                     verify_cover, verify_radius)
 
 
 @dataclass(frozen=True)
@@ -128,11 +129,12 @@ def hampath_witness_to_sequence(inst, path_vertices):
             items.append(edge_label(*path_edges[i]))
         else:
             items.append(edge_label(*en))
+    if len(items) != inst.threshold:
+        raise VerificationError(f"transformed witness has length "
+                                f"{len(items)}, expected {inst.threshold}")
     seq = VertexSequence(inst.target, tuple(items))
-    check = verify_radius(seq, k)
-    if len(items) != inst.threshold or not check.valid:
-        raise VerificationError(f"transformed witness of length {len(items)} "
-                                f"missed {check.uncovered}")
+    require_valid(verify_radius(seq, k),
+                  f"transformed witness of length {len(items)}")
     return seq
 
 
@@ -208,32 +210,24 @@ def cover1_witness_to_coverk(inst, one_cover):
     edges = _check_one_cover(h, one_cover)
     m = len(edges)
 
-    # Orient each edge so the walk enters at the vertex shared with the
-    # previous edge and exits at the one shared with the next.  A pivot
-    # (both neighbors sharing the same endpoint) breaks the template: the
-    # far endpoint would never co-reside with its gadget clique, so such
-    # witnesses are rejected rather than silently mangled.
-    oriented = []
-    for i, e in enumerate(edges):
-        if m == 1:
-            enter_v, exit_v = sorted(e)
-        elif i == 0:
-            exit_v = min(e & edges[1])
-            enter_v = next(iter(e - {exit_v}))
-        elif i < m - 1:
-            enter_v = min(edges[i - 1] & e)
-            exit_v = min(e & edges[i + 1])
-            if enter_v == exit_v:
-                raise WitnessError(
-                    f"1-cover pivots on {enter_v!r} at step {i + 1}; the "
-                    f"edge walk must pass through each edge")
-        else:
-            enter_v = min(edges[i - 1] & e)
-            exit_v = next(iter(e - {enter_v}))
-        oriented.append((enter_v, exit_v))
+    # Edge i runs from walk[i] to walk[i + 1]: the vertices consecutive
+    # edges share, between the first and last edges' other endpoints.  A
+    # pivot (an edge entered and left at one endpoint) would never put the
+    # far endpoint beside its gadget clique, so such witnesses are rejected.
+    walk = [min(a & b) for a, b in zip(edges, edges[1:])]
+    if walk:
+        walk = [min(edges[0] - {walk[0]}), *walk,
+                min(edges[-1] - {walk[-1]})]
+    else:
+        walk = sorted(edges[0])
 
     sets = []
-    for i, (e, (enter_v, exit_v)) in enumerate(zip(edges, oriented)):
+    for i, e in enumerate(edges):
+        enter_v, exit_v = walk[i], walk[i + 1]
+        if enter_v == exit_v:
+            raise WitnessError(
+                f"1-cover pivots on {enter_v!r} at step {i + 1}; the "
+                f"edge walk must pass through each edge")
         u, v = tuple(e)
         clique = _gadget_clique(u, v, k)
         fans = _gadget_fans(u, v, fan)
@@ -249,11 +243,12 @@ def cover1_witness_to_coverk(inst, one_cover):
                 current.remove(clique[j])
                 current.add(new_clique[j])
                 sets.append(frozenset(current))
+    if len(sets) != inst.target_length:
+        raise VerificationError(f"transformed witness has length "
+                                f"{len(sets)}, expected {inst.target_length}")
     cov = CoverSequence(inst.target, k, tuple(sets))
-    check = verify_cover(cov)
-    if len(sets) != inst.target_length or not check.valid:
-        raise VerificationError(f"transformed witness of length {len(sets)} "
-                                f"missed {check.uncovered}")
+    require_valid(verify_cover(cov),
+                  f"transformed witness of length {len(sets)}")
     return cov
 
 

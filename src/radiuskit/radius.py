@@ -167,6 +167,14 @@ def verify_cover(cov):
     return CoverCheck(not uncovered, uncovered, cov.reads)
 
 
+def require_valid(check, name):
+    """The self-check of a computed sequence: `check` if it holds, else
+    VerificationError("<name> missed <uncovered edges>")."""
+    if not check.valid:
+        raise VerificationError(f"{name} missed {check.uncovered}")
+    return check
+
+
 @dataclass(frozen=True)
 class BoundsReport:
     """Lower bounds on the shortest k-radius sequence length.
@@ -264,9 +272,7 @@ def euler_radius1(g):
         # drop the auxiliary edge at position `cut` and restart the walk there
         items = verts[cut:-1] + verts[:cut]
     seq = VertexSequence(g, tuple(items), mode=LINEAR)
-    check = verify_radius(seq, 1)
-    if not check.valid:
-        raise VerificationError(f"euler construction missed {check.uncovered}")
+    require_valid(verify_radius(seq, 1), "euler construction")
     return seq
 
 
@@ -326,7 +332,7 @@ def construct_bipartite(m, n, k, epsilon_hint=0.5, seed=0):
         return BipartiteConstruction(seq, 0, Fraction(0), 0.0, None, 0)
 
     # a_k first: its vertex cap refuses a large k before K_{m,n} is built
-    opt = debruijn.min_normalized_cycle(debruijn.build_debruijn(k))
+    opt = debruijn.min_normalized_cycle(debruijn.DeBruijnGraph(k))
     # the int8 slot scores below lie in [-(k + 1), k], the least after the
     # used-in-block offset; a_k's vertex cap keeps k far below this today
     if 2 * k + 1 > np.iinfo(np.int8).max:
@@ -335,27 +341,28 @@ def construct_bipartite(m, n, k, epsilon_hint=0.5, seed=0):
     a = opt.normalized
     lower = Fraction(m * n) / (k - a)
 
-    # capped before rounding up: a tiny epsilon overflows the ratio to inf
-    q = math.ceil(min((1 + eps) / eps * (k * (k + 1)) /
-                      (opt.length * float(k - a)),
-                      (2 * min(m, n)) // opt.length))
+    # capped before rounding up: a tiny epsilon overflows the ratio to inf.
+    # The cycle holds both symbols, as a constant word weighs k per edge and
+    # a_k < k, so q periods need q * zeros <= m and q * ones <= n.
+    zeros = opt.symbols.count(0)
+    q = min(math.ceil(min((1 + eps) / eps * (k * (k + 1)) /
+                          (opt.length * float(k - a)),
+                          (2 * min(m, n)) // opt.length)),
+            m // zeros, n // (opt.length - zeros))
     block = None
-    if q >= 1:
-        zeros = opt.symbols.count(0)
-        ones = opt.length - zeros
-        while q >= 1 and (q * zeros > m or q * ones > n):
-            q -= 1
-        if q >= 1 and q * opt.length > 2 * k:
-            phase = random.Random(seed).randrange(opt.length)
-            block = (opt.symbols[phase:] + opt.symbols[:phase]) * q
+    if q >= 1 and q * opt.length > 2 * k:
+        phase = random.Random(seed).randrange(opt.length)
+        block = (opt.symbols[phase:] + opt.symbols[:phase]) * q
 
     # Vertices are indices x_i -> i-1, y_j -> m+j-1 (g.vertices order); side
     # 0 is X, side 1 is Y.  rows[0][i, j] = rows[1][j, i] = 1 while pair
     # x_{i+1} y_{j+1} is open.  score[s][i] counts the distinct window
     # vertices open with vertex i of side s: entering or leaving the window
-    # adds or subtracts a row, and covering a pair decrements each endpoint
-    # whose partner is in the window.  Memoryviews reach single entries
-    # faster than numpy scalars, and refuse values outside int8.
+    # adds or subtracts a row, and covering a pair by appending v
+    # decrements v's score alone: v is not in the window then, for had it
+    # been, v and its partner sat within k slots of each other and the pair
+    # closed when the later of them was appended.  Memoryviews reach single
+    # entries faster than numpy scalars, and refuse values outside int8.
     rows = (np.ones((m, n), dtype=np.int8), np.ones((n, m), dtype=np.int8))
     score = [np.zeros(m, dtype=np.int8), np.zeros(n, dtype=np.int8)]
     open_ = tuple(map(memoryview, rows))
@@ -378,8 +385,6 @@ def construct_bipartite(m, n, k, epsilon_hint=0.5, seed=0):
                 open_[s][i, j] = open_[1 - s][j, i] = 0
                 remaining -= 1
                 score_at[s][i] -= 1
-                if in_window[v]:
-                    score_at[1 - s][j] -= 1
         items.append(v)
         in_window[v] += 1
         if in_window[v] == 1:
@@ -427,10 +432,7 @@ def construct_bipartite(m, n, k, epsilon_hint=0.5, seed=0):
 
     seq = VertexSequence(g, tuple(map(g.vertices.__getitem__, items)),
                          mode=LINEAR)
-    check = verify_radius(seq, k)
-    if not check.valid:
-        raise VerificationError(
-            f"bipartite construction missed {check.uncovered}")
+    require_valid(verify_radius(seq, k), "bipartite construction")
     ratio = len(items) / float(lower) if lower else 0.0
     return BipartiteConstruction(seq, len(items), lower, ratio, block,
                                  blocks_used)
@@ -474,9 +476,7 @@ def cover_strategy_bipartite(m, n, k):
             if r == 0 or n > 1:
                 sets.extend(held | {y} for y in ys)
     cov = CoverSequence(g, k, tuple(sets))
-    check = verify_cover(cov)
-    if not check.valid:
-        raise VerificationError(f"cover strategy missed {check.uncovered}")
+    require_valid(verify_cover(cov), "cover strategy")
     return cov
 
 
@@ -492,27 +492,42 @@ def maxcut_circulant(n, k):
     return k * n - binseq.wk_exact(k, n)
 
 
+def _unknown_label(exc, lines, graph):
+    """`exc`, the InputError a sequence raised on the labels of `lines`
+    ((line number, labels) pairs), naming the first line with a label
+    outside graph: the sequence checks its labels in order, so that line
+    holds the one it names."""
+    lineno = next(n for n, labels in lines
+                  if not all(x in graph.index for x in labels))
+    return InputError(f"line {lineno}: {exc}")
+
+
 def parse_vertex_sequence(text, graph, mode=LINEAR):
     """Whitespace-separated vertex labels."""
-    tokens = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0]
-        tokens.extend(line.split())
-    return VertexSequence(graph, tuple(tokens), mode=mode)
+    lines = [(lineno, raw.split("#", 1)[0].split())
+             for lineno, raw in enumerate(text.splitlines(), start=1)]
+    try:
+        return VertexSequence(graph, tuple(x for _, labels in lines
+                                           for x in labels), mode=mode)
+    except InputError as exc:
+        raise _unknown_label(exc, lines, graph) from None
 
 
 def parse_cover_sequence(text, graph, k):
     """One set per line, labels space-separated."""
-    sets = []
+    lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         if len(tokens) != len(set(tokens)):
             raise ParseError("repeated label inside a set", line=lineno)
-        sets.append(frozenset(tokens))
-    return CoverSequence(graph, k, tuple(sets))
+        lines.append((lineno, tokens))
+    try:
+        return CoverSequence(graph, k,
+                             tuple(frozenset(labels) for _, labels in lines))
+    except InputError as exc:
+        raise _unknown_label(exc, lines, graph) from None
 
 
 def serialize_cover_sequence(cov):

@@ -644,7 +644,7 @@ def construct_bipartite_reference(m, n, k, epsilon_hint=0.5, seed=0):
 
     Vertices are indices, x_i -> i-1 and y_j -> m+j-1; m, n >= 1.
     """
-    opt = debruijn.min_normalized_cycle(debruijn.build_debruijn(k))
+    opt = debruijn.min_normalized_cycle(debruijn.DeBruijnGraph(k))
     a = opt.normalized
     q = math.ceil(min((1 + epsilon_hint) / epsilon_hint * (k * (k + 1)) /
                       (opt.length * float(k - a)),

@@ -53,7 +53,7 @@ def test_criterion_1_table2_regression():
                 4: Fraction(4, 3), 5: Fraction(7, 4)}
     with criterion(1, "small-k constants with re-verified witnesses", 1.0):
         for k, value in expected.items():
-            cycle_ = debruijn.min_normalized_cycle(debruijn.build_debruijn(k))
+            cycle_ = debruijn.min_normalized_cycle(debruijn.DeBruijnGraph(k))
             assert cycle_.normalized == value
             # independent re-verification of the witness weight
             word = cycle_.word
@@ -98,7 +98,7 @@ def test_criterion_4_sandwich_and_divisible():
     with criterion(4, "w_k(s) sandwich for k <= 4, 2k < s <= 40", 60.0):
         for k in range(1, 5):
             a = ak(k)
-            opt = debruijn.min_normalized_cycle(debruijn.build_debruijn(k))
+            opt = debruijn.min_normalized_cycle(debruijn.DeBruijnGraph(k))
             for s in range(2 * k + 1, 41):
                 w = binseq.wk_exact(k, s)
                 assert a * s <= w, (k, s)
@@ -112,7 +112,7 @@ def test_criterion_4_sandwich_and_divisible():
 def test_criterion_5_maxcut_identity():
     with criterion(5, "circulant max cut identity, n <= 18, k <= 4", 60.0):
         lengths = {k: debruijn.min_normalized_cycle(
-            debruijn.build_debruijn(k)).length for k in range(1, 5)}
+            debruijn.DeBruijnGraph(k)).length for k in range(1, 5)}
         for n in range(5, 19):
             for k in range(1, 5):
                 if 2 * k >= n:

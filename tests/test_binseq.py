@@ -34,20 +34,6 @@ def naive_pair_count(symbols, k, mode):
     return bad, good
 
 
-def test_pair_offsets_match_definition():
-    """Every i < j within distance k, exactly once, for s <= 29 and
-    k <= 31 in both modes."""
-    for mode in ("cyclic", "linear"):
-        for s in range(1, 30):
-            for k in range(1, 32):
-                pairs = [tuple(sorted(p))
-                         for p in binseq._pair_offsets(s, k, mode)]
-                expected = [(i, j) for i in range(s) for j in range(i + 1, s)
-                            if (j - i if mode == "linear"
-                                else min(j - i, s - j + i)) <= k]
-                assert sorted(pairs) == expected, (s, k, mode)
-
-
 def bits(text, mode="cyclic"):
     return CyclicBitString(tuple(map(int, text)), mode=mode)
 
@@ -60,16 +46,19 @@ def test_count_examples():
 
 
 def test_count_against_naive_oracle():
+    """Every s <= 29 and k <= 31 in both modes, on a random string and on
+    the constant one, whose pairs are all bad: each within-distance pair
+    is counted exactly once."""
     rng = random.Random(7)
-    for _ in range(300):
-        s = rng.randint(2, 20)
-        k = rng.randint(1, 8)
-        mode = rng.choice(["cyclic", "linear"])
-        symbols = tuple(rng.randint(0, 1) for _ in range(s))
-        seq = CyclicBitString(symbols, mode=mode)
-        report = count_bad_pairs(seq, k)
-        assert (report.bad_count, report.good_count) == \
-            naive_pair_count(symbols, k, mode)
+    for mode in ("cyclic", "linear"):
+        for s in range(2, 30):
+            for k in range(1, 32):
+                for symbols in (tuple(rng.randint(0, 1) for _ in range(s)),
+                                (0,) * s):
+                    seq = CyclicBitString(symbols, mode=mode)
+                    report = count_bad_pairs(seq, k)
+                    assert (report.bad_count, report.good_count) == \
+                        naive_pair_count(symbols, k, mode), (s, k, mode)
 
 
 def test_cyclic_totals():
@@ -319,7 +308,7 @@ def test_construct_low_bad_checks_length_before_the_dp(monkeypatch):
 def test_construct_low_bad_bound_and_divisible():
     for k in (1, 2, 3, 4):
         a = debruijn.ak(k)
-        cycle = debruijn.min_normalized_cycle(debruijn.build_debruijn(k))
+        cycle = debruijn.min_normalized_cycle(debruijn.DeBruijnGraph(k))
         for s in range(cycle.length, 41):
             seq, bad = construct_low_bad(k, s)
             assert count_bad_pairs(seq, k).bad_count == bad
@@ -337,7 +326,7 @@ def test_string_rendering_is_the_ak_rule():
     for symbols, t in (((10, 3, 0, 11), 12), ((35, 0), 36), ((36, 1), 37)):
         assert (str(CyclicBitString(symbols, alphabet=t))
                 == debruijn._render_symbols(symbols, t))
-    cycle = debruijn.min_normalized_cycle(debruijn.build_debruijn(2, 12))
+    cycle = debruijn.min_normalized_cycle(debruijn.DeBruijnGraph(2, 12))
     assert str(CyclicBitString(cycle.symbols, alphabet=12)) == cycle.word
 
 

@@ -360,6 +360,34 @@ def test_parse_errors_name_the_file(capsys, tmp_path, k4_file):
                    f"repeated label inside a set\n")
 
 
+@pytest.mark.parametrize("case", ["radius", "cover-label", "cover-structure",
+                                  "witness"])
+def test_domain_errors_name_the_file(capsys, tmp_path, k4_file, case):
+    k33 = tmp_path / "k33.edges"
+    k33.write_text(serialize_graph(complete_bipartite(3, 3)))
+    seq = tmp_path / "s.seq"
+    text, argv, message = {
+        "radius": ("v1 v2\n# v9\nv3 zz\n", ["verify", "radius", "--k", "1",
+                                            "--graph", k4_file, "--seq"],
+                   "line 3: sequence refers to unknown vertex 'zz'"),
+        "cover-label": ("v1 v2\n\nv2 zz\n", ["verify", "cover", "--k", "1",
+                                             "--graph", k4_file, "--seq"],
+                        "line 3: cover set refers to unknown vertex 'zz'"),
+        "cover-structure": ("v1 v2\n# same\nv2 v1\n",
+                            ["verify", "cover", "--k", "1",
+                             "--graph", k4_file, "--seq"],
+                            "set 2: differs from its predecessor by 0 "
+                            "elements, expected exactly 1"),
+        "witness": ("x1 y1 x2\ny2 zz y3\n",
+                    ["reduce", "ham-radius", "--k", "2", "--graph", str(k33),
+                     "--witness"],
+                    "line 2: sequence refers to unknown vertex 'zz'"),
+    }[case]
+    seq.write_text(text)
+    code, out, err = run(capsys, argv + [str(seq)])
+    assert (code, out, err) == (1, "", f"error: {seq}: {message}\n")
+
+
 def test_reduce_domain_error(capsys, tmp_path):
     graph_file = tmp_path / "k4.edges"
     graph_file.write_text(serialize_graph(complete(4)))

@@ -10,7 +10,7 @@ from helpers import (edge_word_weight, extract_tight_cycle_reference,
                      karp_min_cycle)
 
 from radiuskit import debruijn
-from radiuskit.debruijn import (ak, ak_bounds, build_debruijn,
+from radiuskit.debruijn import (DeBruijnGraph, ak, ak_bounds,
                                 check_certificate, dk, min_normalized_cycle,
                                 zk)
 from radiuskit.errors import (BudgetError, InvalidParameterError,
@@ -54,18 +54,18 @@ def cycle_word_weight(word, k):
 
 
 def test_build_sizes():
-    g = build_debruijn(1)
+    g = DeBruijnGraph(1)
     assert (g.num_vertices, g.num_edges) == (2, 4)
-    g = build_debruijn(3)
+    g = DeBruijnGraph(3)
     assert (g.num_vertices, g.num_edges) == (8, 16)
-    assert build_debruijn(2, 3).num_vertices == 9
+    assert DeBruijnGraph(2, 3).num_vertices == 9
 
 
 def test_build_invalid():
     with pytest.raises(InvalidParameterError):
-        build_debruijn(0)
+        DeBruijnGraph(0)
     with pytest.raises(InvalidParameterError):
-        build_debruijn(3, 1)
+        DeBruijnGraph(3, 1)
 
 
 TABLE2 = {1: Fraction(0), 2: Fraction(1, 2), 3: Fraction(1),
@@ -76,7 +76,7 @@ TABLE2_K3_WORDS = ["01", "0011", "000111", "00011", "00111"]
 
 def test_table2_values_and_witnesses():
     for k, expected in TABLE2.items():
-        cycle = min_normalized_cycle(build_debruijn(k))
+        cycle = min_normalized_cycle(DeBruijnGraph(k))
         assert cycle.normalized == expected
         # re-verify the witness from scratch
         windows = cycle.windows()
@@ -87,14 +87,14 @@ def test_table2_values_and_witnesses():
 
 def test_table2_unique_witness_words():
     for k, word in TABLE2_UNIQUE_WORDS.items():
-        assert min_normalized_cycle(build_debruijn(k)).word == word
+        assert min_normalized_cycle(DeBruijnGraph(k)).word == word
 
 
 def test_k3_optimal_cycles_all_weigh_one():
     for word in TABLE2_K3_WORDS:
         weight = cycle_word_weight(word, 3)
         assert Fraction(weight, len(word)) == 1
-    returned = min_normalized_cycle(build_debruijn(3))
+    returned = min_normalized_cycle(DeBruijnGraph(3))
     assert returned.normalized == 1
 
 
@@ -117,7 +117,7 @@ KARP_CASES = [(k, 2) for k in range(1, 13)] + [
 
 @pytest.mark.parametrize("k,t", KARP_CASES)
 def test_howard_matches_karp_oracle(k, t):
-    cycle = min_normalized_cycle(build_debruijn(k, t))
+    cycle = min_normalized_cycle(DeBruijnGraph(k, t))
     assert (cycle.normalized, cycle.symbols) == karp_min_cycle(k, t)
 
 
@@ -160,7 +160,7 @@ def test_least_rotation():
 @pytest.mark.parametrize(
     "k,t", [(1, 2), (5, 2), (9, 2), (3, 3), (2, 7), (2, 64), (2, 100)])
 def test_certificate_accepts_results(k, t):
-    cycle = min_normalized_cycle(build_debruijn(k, t))
+    cycle = min_normalized_cycle(DeBruijnGraph(k, t))
     pi = cycle.potentials
     assert pi.dtype == np.int64 and pi.shape == (t ** k,)
     assert not pi.flags.writeable
@@ -170,7 +170,7 @@ def test_certificate_accepts_results(k, t):
 
 def test_certificate_rejects_tampering():
     k = 7
-    cycle = min_normalized_cycle(build_debruijn(k))
+    cycle = min_normalized_cycle(DeBruijnGraph(k))
     mu, pi, symbols = cycle.normalized, cycle.potentials, cycle.symbols
     assert mu == Fraction(13, 5)
     # every vertex but the source 0 has a tight incoming edge, so raising
@@ -197,7 +197,7 @@ def test_certificate_rejects_tampering():
 def test_potential_headroom_guard():
     # 2 * 23 * (2^23)^2 >= 2^50: refused before any array is built
     with pytest.raises(BudgetError, match="headroom"):
-        min_normalized_cycle(build_debruijn(23), max_vertices=1 << 23)
+        min_normalized_cycle(DeBruijnGraph(23), max_vertices=1 << 23)
 
 
 def test_zk_values():
@@ -254,11 +254,11 @@ def test_analytic_invariants():
 
 def test_budget_error():
     with pytest.raises(BudgetError):
-        min_normalized_cycle(build_debruijn(20))
+        min_normalized_cycle(DeBruijnGraph(20))
     with pytest.raises(BudgetError):
         dk(16)
 
 
 def test_large_k_encodes_without_materializing():
-    g = build_debruijn(24)
+    g = DeBruijnGraph(24)
     assert g.num_vertices == 2 ** 24 and g.num_edges == 2 ** 25

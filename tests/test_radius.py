@@ -338,7 +338,6 @@ def test_construct_bipartite_refuses_before_building(monkeypatch):
     with pytest.raises(BudgetError, match="over the budget of 16384"):
         construct_bipartite(700, 700, 15)
     # past the int8 slot scores, with a stand-in a_k that never binds
-    monkeypatch.setattr(debruijn, "build_debruijn", lambda k: None)
     monkeypatch.setattr(debruijn, "min_normalized_cycle", lambda g: None)
     with pytest.raises(BudgetError, match="k = 64 overflows"):
         construct_bipartite(3, 3, 64)
