@@ -45,7 +45,7 @@ def test_count_examples():
     assert count_bad_pairs(bits("00000"), 2).bad_count == 10
 
 
-def test_count_against_naive_oracle():
+def test_pair_offsets_match_definition():
     """Every s <= 29 and k <= 31 in both modes, on a random string and on
     the constant one, whose pairs are all bad: each within-distance pair
     is counted exactly once."""
@@ -59,6 +59,19 @@ def test_count_against_naive_oracle():
                     report = count_bad_pairs(seq, k)
                     assert (report.bad_count, report.good_count) == \
                         naive_pair_count(symbols, k, mode), (s, k, mode)
+
+
+def test_count_against_naive_oracle():
+    rng = random.Random(7)
+    for _ in range(300):
+        s = rng.randint(2, 20)
+        k = rng.randint(1, 8)
+        mode = rng.choice(["cyclic", "linear"])
+        symbols = tuple(rng.randint(0, 1) for _ in range(s))
+        seq = CyclicBitString(symbols, mode=mode)
+        report = count_bad_pairs(seq, k)
+        assert (report.bad_count, report.good_count) == \
+            naive_pair_count(symbols, k, mode)
 
 
 def test_cyclic_totals():
