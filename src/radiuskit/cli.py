@@ -46,11 +46,13 @@ class _Output:
                 print(line)
 
 
-def _parse_file(parse, path, *args):
+def _parse_file(parse, path, *args, entry_tokens=1):
     """`parse` run on the file's text and `args`; every error about the
-    file's content (a ParseError, InputError or StructureError) names the
-    file.  Every parser splits the text with `str.splitlines`, so its line
-    ends need no translation."""
+    file's content (a ParseError, InputError, StructureError or
+    WitnessError) names the file, and a WitnessError about entry i of the
+    file, `entry_tokens` labels an entry, also names that entry's line.
+    Every parser splits the text with `str.splitlines`, so its line ends
+    need no translation."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -62,6 +64,11 @@ def _parse_file(parse, path, *args):
             raise ParseError(f"not UTF-8 text (byte 0x{data[exc.start]:02x})",
                              line=line)
         return parse(text, *args)
+    except WitnessError as exc:
+        if exc.position is not None:
+            line = graphs._token_line(text, entry_tokens * exc.position)
+            raise WitnessError(f"{path}: line {line}: {exc}") from None
+        raise WitnessError(f"{path}: {exc}") from None
     except (ParseError, InputError, StructureError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
@@ -255,17 +262,20 @@ def _cmd_reduce(args, out):
         lines.append(f"metadata written to {args.meta_out}")
     if args.witness:
         if args.kind == "ham-radius":
-            path_vertices = _parse_file(radius.parse_vertex_sequence,
-                                        args.witness, g).items
-            seq = hardness.hampath_witness_to_sequence(inst, path_vertices)
+            seq = _parse_file(
+                lambda text: hardness.hampath_witness_to_sequence(
+                    inst, radius.parse_vertex_sequence(text, g).items),
+                args.witness)
             record["witness_length"] = len(seq)
             record["witness"] = " ".join(seq.items)
             lines.append(f"witness length {len(seq)} (threshold "
                          f"{inst.threshold})")
             lines.append(" ".join(seq.items))
         else:
-            edge_list = _parse_file(graphs.parse_graph, args.witness).edges
-            cov = hardness.cover1_witness_to_coverk(inst, edge_list)
+            cov = _parse_file(
+                lambda text: hardness.cover1_witness_to_coverk(
+                    inst, graphs.parse_graph(text).edges),
+                args.witness, entry_tokens=2)
             record["witness_length"] = len(cov)
             record["losses"] = inst.witness_losses
             record["witness"] = radius.serialize_cover_sequence(cov)

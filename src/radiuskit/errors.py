@@ -26,11 +26,20 @@ class ParseError(RadiuskitError, ValueError):
         self.line = line
 
 
-class InputError(RadiuskitError, ValueError):
+class _EntryError(RadiuskitError, ValueError):
+    """An error that may carry the 0-based position of the entry at fault
+    (an edge, a sequence item or a set), for a parser to name its line."""
+
+    def __init__(self, message, position=None):
+        super().__init__(message)
+        self.position = position
+
+
+class InputError(_EntryError):
     """Structurally valid input that refers to unknown or inconsistent data."""
 
 
-class WitnessError(RadiuskitError, ValueError):
+class WitnessError(_EntryError):
     """A supplied witness does not have the promised property."""
 
 

@@ -7,9 +7,66 @@ and preserve vertex/edge insertion order, which keeps serialization and all
 downstream tie-breaks deterministic.
 """
 
+import itertools
+import re
+
 import numpy as np
 
 from .errors import InputError, InvalidParameterError, ParseError
+
+# A comment runs from '#' to the end of its line; the class holds every
+# line break of `str.splitlines`, each of which `str.split` also splits at.
+_COMMENT = re.compile("#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
+
+
+def _uncommented(text):
+    """text with each comment replaced by a space, so its tokens and line
+    breaks stay as they were: a comment removed outright between a CR and
+    an LF would join two line breaks into one."""
+    return _COMMENT.sub(" ", text)
+
+
+def _token_line(text, position):
+    """The 1-based line of token `position` (0-based) of text, counting
+    tokens as every file format here does: whitespace-separated, after
+    comments are removed."""
+    counts = map(len, map(str.split, _uncommented(text).splitlines()))
+    return next(line for line, total
+                in enumerate(itertools.accumulate(counts), start=1)
+                if total > position)
+
+
+def _index_edges(vertices, labels):
+    """The index core of the graph on `vertices` and the edges
+    labels[0] labels[1], labels[2] labels[3], ... (`labels` a list).
+
+    Returns (index, ends): index maps each label to its position in
+    first-appearance order, vertices first; ends is the (E, 2) int64 array
+    of endpoint indices.  Raises InputError at the first edge, in order,
+    that is a self-loop or repeats an earlier edge in either orientation,
+    carrying that edge's position.
+    """
+    index = dict(zip(dict.fromkeys(itertools.chain(vertices, labels)),
+                     itertools.count()))
+    ends = np.fromiter(map(index.__getitem__, labels), dtype=np.int64,
+                       count=len(labels)).reshape(-1, 2)
+    u, v = ends[:, 0], ends[:, 1]
+    codes = np.minimum(u, v) * len(index)  # min*V + max: one int per pair
+    codes += np.maximum(u, v)
+    runs = np.sort(codes)
+    if not (np.count_nonzero(u == v)
+            or np.count_nonzero(runs[1:] == runs[:-1])):
+        return index, ends
+    # a stable sort keeps equal codes in edge order: each but the first of
+    # a run of equal codes repeats an earlier edge
+    order = np.argsort(codes, kind="stable")
+    bad = u == v
+    bad[order[1:][runs[1:] == runs[:-1]]] = True
+    position = int(bad.argmax())
+    a, b = labels[2 * position:2 * position + 2]
+    if a == b:
+        raise InputError(f"self-loop at {a!r}", position=position)
+    raise InputError(f"duplicate edge {a!r} {b!r}", position=position)
 
 
 class Graph:
@@ -25,36 +82,22 @@ class Graph:
     __slots__ = ("vertices", "index", "ends", "_edges", "_adj")
 
     def __init__(self, vertices=(), edges=()):
-        index = {}
-        for v in vertices:
-            index.setdefault(str(v), len(index))
-        ends = []
-        pairs = set()
-        for u, v in edges:
-            u, v = str(u), str(v)
-            if u == v:
-                raise InputError(f"self-loop at {u!r}")
-            a = index.setdefault(u, len(index))
-            b = index.setdefault(v, len(index))
-            # one int per unordered pair: lo < hi -> hi(hi - 1)/2 + lo
-            pair = a * (a - 1) // 2 + b if a > b else b * (b - 1) // 2 + a
-            if pair in pairs:
-                raise InputError(f"duplicate edge {u!r} {v!r}")
-            pairs.add(pair)
-            ends += (a, b)
+        labels = list(map(str, itertools.chain.from_iterable(edges)))
+        index, ends = _index_edges(map(str, vertices), labels)
         for v in index:
             if v.split() != [v]:  # empty or holding whitespace
                 raise InputError(f"label {v!r} must be a non-whitespace token")
             if "#" in v:  # every file format reads '#' as a comment
                 raise InputError(
                     f"label {v!r} holds '#', which starts a comment")
-        self._set(index, np.array(ends, dtype=np.int64).reshape(-1, 2))
+        self._set(index, ends)
 
     @classmethod
-    def _from_ends(cls, vertices, ends):
-        """A graph on distinct valid labels and simple (E, 2) endpoints."""
+    def _from_index(cls, index, ends):
+        """A graph on the valid labels of `index` (label -> position) and
+        simple (E, 2) endpoints."""
         g = cls.__new__(cls)
-        g._set({v: i for i, v in enumerate(vertices)}, ends)
+        g._set(index, ends)
         return g
 
     def _set(self, index, ends):
@@ -104,37 +147,49 @@ class Graph:
     def degree(self, v):
         return len(self.neighbors(v))
 
-    def bipartition(self):
-        """BFS 2-coloring as a dict label -> 0/1, or None if an odd cycle."""
-        adj = self._adjacency()
-        color = {}
-        for root in self.vertices:
-            if root in color:
+    def _bfs_forest(self):
+        """Breadth-first search from each unreached vertex in turn, on
+        integer neighbour lists grouped from `ends` by one argsort.
+
+        Returns (parity, trees): parity[v] is 0 or 1 with v's depth in its
+        tree, and trees counts the roots searched from.
+        """
+        size = self.num_vertices
+        tails = self.ends.ravel()
+        heads = self.ends[:, ::-1].ravel()[tails.argsort()].tolist()
+        start = [0, *np.cumsum(np.bincount(tails, minlength=size)).tolist()]
+        parity = [-1] * size
+        trees = 0
+        for root in range(size):
+            if parity[root] >= 0:
                 continue
-            color[root] = 0
+            trees += 1
+            parity[root] = 0
             queue = [root]
-            while queue:
-                u = queue.pop()
-                for w in adj[u]:
-                    if w not in color:
-                        color[w] = 1 - color[u]
+            for u in queue:  # grows while it is walked
+                side = 1 - parity[u]
+                for w in heads[start[u]:start[u + 1]]:
+                    if parity[w] < 0:
+                        parity[w] = side
                         queue.append(w)
-                    elif color[w] == color[u]:
-                        return None
-        return color
+        return parity, trees
+
+    def bipartition(self):
+        """A 2-colouring as a dict label -> 0/1 in vertex order, or None if
+        the graph has an odd cycle.
+
+        Each component's first vertex gets 0, so the colouring is the
+        parity of the distance from it: the BFS forest's parity, which
+        2-colours the graph when no edge joins two vertices of one parity.
+        """
+        parity, _ = self._bfs_forest()
+        side = np.array(parity, dtype=np.int8)
+        if (side[self.ends[:, 0]] == side[self.ends[:, 1]]).any():
+            return None
+        return dict(zip(self.vertices, parity))
 
     def is_connected(self):
-        if not self.vertices:
-            return True
-        adj = self._adjacency()
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+        return self._bfs_forest()[1] <= 1
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -165,7 +220,8 @@ def complete_bipartite(m, n):
     ends = np.empty((m * n, 2), dtype=np.int64)
     ends[:, 0] = np.repeat(np.arange(m), n)
     ends[:, 1] = np.tile(np.arange(m, m + n), m)
-    return Graph._from_ends(xs + ys, ends)
+    index = dict(zip(xs + ys, itertools.count()))
+    return Graph._from_index(index, ends)
 
 
 def path(n):
@@ -221,17 +277,22 @@ def line_graph(g):
             raise InputError(
                 f"label {v!r} contains '|', which separates the endpoints "
                 f"of line-graph labels")
-    incident = {v: [] for v in g.vertices}
-    for i, (u, v) in enumerate(g.edges):
-        incident[u].append(i)
-        incident[v].append(i)
-    labels = [edge_label(u, v) for u, v in g.edges]
-    edges = []
-    for i, (u, v) in enumerate(g.edges):
+    incident = [[] for _ in g.vertices]
+    ends = g.ends.tolist()
+    for i, (a, b) in enumerate(ends):
+        incident[a].append(i)
+        incident[b].append(i)
+    pairs = []
+    for i, (a, b) in enumerate(ends):
         # distinct edges share at most one endpoint, so no j is found twice
-        later = sorted(j for w in (u, v) for j in incident[w] if j > i)
-        edges.extend((labels[i], labels[j]) for j in later)
-    return Graph(labels, edges)
+        later = sorted(j for w in (a, b) for j in incident[w] if j > i)
+        pairs += ((i, j) for j in later)
+    # no label holds '|', so each edge's label names its endpoints and the
+    # labels are distinct
+    index = dict(zip(itertools.starmap(edge_label, g.edges),
+                     itertools.count()))
+    return Graph._from_index(
+        index, np.array(pairs, dtype=np.int64).reshape(-1, 2))
 
 
 def pendant_label(v, j):
@@ -243,37 +304,42 @@ def attach_pendants(g, count):
     """Hang `count` new degree-1 neighbors off every original vertex."""
     if count < 0:
         raise InvalidParameterError(f"pendant count must be >= 0, got {count}")
-    vertices = list(g.vertices)
-    edges = list(g.edges)
-    for v in g.vertices:
-        for j in range(1, count + 1):
-            leaf = pendant_label(v, j)
-            if leaf in g.index:
-                raise InputError(f"pendant label {leaf!r} collides with a vertex")
-            vertices.append(leaf)
-            edges.append((v, leaf))
-    return Graph(vertices, edges)
+    leaves = [pendant_label(v, j) for v in g.vertices
+              for j in range(1, count + 1)]
+    for leaf in leaves:
+        if leaf in g.index:
+            raise InputError(f"pendant label {leaf!r} collides with a vertex")
+    # distinct, as the count after the last '^' and the vertex before it
+    # name each leaf
+    n = g.num_vertices
+    hung = np.column_stack((np.arange(n).repeat(count),
+                            np.arange(n, n + len(leaves))))
+    index = dict(zip(g.vertices + tuple(leaves), itertools.count()))
+    return Graph._from_index(index, np.concatenate((g.ends, hung)))
 
 
 def parse_graph(text):
-    """Parse the edge-list format: one 'u v' per line, # comments."""
-    lineno = 0
+    """Parse the edge-list format: one 'u v' per line, # comments.
 
-    def edges():
-        nonlocal lineno
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            tokens = raw.split("#", 1)[0].split()
-            if not tokens:
-                continue
-            if len(tokens) != 2:
-                raise ParseError(
-                    f"expected two labels, got {len(tokens)}", line=lineno)
-            yield tokens
-
+    Errors name the line of the first fault: a line not holding two labels,
+    or an edge on an earlier line that is a self-loop or a repeat.
+    """
+    body = _uncommented(text)
+    labels = body.split()
+    counts = list(map(len, map(str.split, body.splitlines())))
+    bad = None
+    if not {0, 2}.issuperset(counts):
+        bad = next(i for i, c in enumerate(counts) if c not in (0, 2))
+        del labels[sum(counts[:bad]):]
     try:
-        return Graph((), edges())
+        index, ends = _index_edges((), labels)
     except InputError as exc:
-        raise ParseError(str(exc), line=lineno) from None
+        raise ParseError(str(exc), line=_token_line(text, 2 * exc.position)
+                         ) from None
+    if bad is not None:
+        raise ParseError(f"expected two labels, got {counts[bad]}",
+                         line=bad + 1)
+    return Graph._from_index(index, ends)
 
 
 def serialize_graph(g):

@@ -90,15 +90,18 @@ def hampath_witness_to_sequence(inst, path_vertices):
     Emits the spare edge at the first endpoint, then for each path vertex
     its non-path edge, its pendant edges, and the next path edge, ending
     with the spare edge at the last endpoint.  Non-path edges at the two
-    endpoints are assigned in lexicographic label order.
+    endpoints are assigned in lexicographic label order.  A step between
+    non-adjacent vertices raises a WitnessError carrying the position of
+    the vertex it steps to.
     """
     f, k = inst.source, inst.k
     path_vertices = [str(v) for v in path_vertices]
     if sorted(path_vertices) != sorted(f.vertices):
         raise WitnessError("path must visit every vertex exactly once")
-    for a, b in zip(path_vertices, path_vertices[1:]):
+    for i, (a, b) in enumerate(zip(path_vertices, path_vertices[1:]), 1):
         if not f.has_edge(a, b):
-            raise WitnessError(f"{a!r} and {b!r} are not adjacent")
+            raise WitnessError(f"{a!r} and {b!r} are not adjacent",
+                               position=i)
     n = len(path_vertices)
     path_edges = [frozenset((path_vertices[i], path_vertices[i + 1]))
                   for i in range(n - 1)]
@@ -182,19 +185,21 @@ def reduce_cover1_to_coverk(h, k):
 
 
 def _check_one_cover(h, edge_list):
-    """A 1-cover of length m: every edge exactly once, neighbors adjacent."""
+    """A 1-cover of length m: every edge exactly once, neighbors adjacent.
+    An error about one step carries its position."""
     edges = []
-    for u, v in edge_list:
+    for i, (u, v) in enumerate(edge_list):
         u, v = str(u), str(v)
         if not h.has_edge(u, v):
-            raise WitnessError(f"{u!r} {v!r} is not an edge of the source")
+            raise WitnessError(f"{u!r} {v!r} is not an edge of the source",
+                               position=i)
         edges.append(frozenset((u, v)))
     if len(set(edges)) != len(edges) or len(edges) != h.num_edges:
         raise WitnessError("1-cover must list every source edge exactly once")
     for i in range(len(edges) - 1):
         if not edges[i] & edges[i + 1]:
             raise WitnessError(
-                f"steps {i + 1} and {i + 2} share no endpoint")
+                f"steps {i + 1} and {i + 2} share no endpoint", position=i + 1)
     return edges
 
 
@@ -227,7 +232,7 @@ def cover1_witness_to_coverk(inst, one_cover):
         if enter_v == exit_v:
             raise WitnessError(
                 f"1-cover pivots on {enter_v!r} at step {i + 1}; the "
-                f"edge walk must pass through each edge")
+                f"edge walk must pass through each edge", position=i)
         u, v = tuple(e)
         clique = _gadget_clique(u, v, k)
         fans = _gadget_fans(u, v, fan)

@@ -21,7 +21,7 @@ from . import binseq, debruijn
 from .binseq import CYCLIC, LINEAR
 from .errors import (BudgetError, InputError, InvalidParameterError,
                      ParseError, StructureError, VerificationError)
-from .graphs import Graph, complete_bipartite
+from .graphs import Graph, _token_line, _uncommented, complete_bipartite
 
 
 @dataclass(frozen=True)
@@ -35,10 +35,13 @@ class VertexSequence:
     def __post_init__(self):
         if self.mode not in (LINEAR, CYCLIC):
             raise InvalidParameterError(f"unknown mode {self.mode!r}")
-        object.__setattr__(self, "items", tuple(str(x) for x in self.items))
-        for x in self.items:
-            if x not in self.graph.index:
-                raise InputError(f"sequence refers to unknown vertex {x!r}")
+        items = tuple(map(str, self.items))
+        object.__setattr__(self, "items", items)
+        unknown = set(items).difference(self.graph.index)
+        if unknown:
+            at = next(i for i, x in enumerate(items) if x in unknown)
+            raise InputError(f"sequence refers to unknown vertex "
+                             f"{items[at]!r}", position=at)
 
     def __len__(self):
         return len(self.items)
@@ -55,12 +58,14 @@ class CoverSequence:
     def __post_init__(self):
         if self.k < 1:
             raise InvalidParameterError(f"k must be >= 1, got {self.k}")
-        object.__setattr__(
-            self, "sets", tuple(frozenset(str(x) for x in s) for s in self.sets))
-        for s in self.sets:
-            for x in s:
-                if x not in self.graph.index:
-                    raise InputError(f"cover set refers to unknown vertex {x!r}")
+        sets = tuple(frozenset(map(str, s)) for s in self.sets)
+        object.__setattr__(self, "sets", sets)
+        unknown = frozenset().union(*sets).difference(self.graph.index)
+        if unknown:
+            at, x = next((i, x) for i, s in enumerate(sets) for x in s
+                         if x in unknown)
+            raise InputError(f"cover set refers to unknown vertex {x!r}",
+                             position=at)
 
     def __len__(self):
         return len(self.sets)
@@ -492,42 +497,32 @@ def maxcut_circulant(n, k):
     return k * n - binseq.wk_exact(k, n)
 
 
-def _unknown_label(exc, lines, graph):
-    """`exc`, the InputError a sequence raised on the labels of `lines`
-    ((line number, labels) pairs), naming the first line with a label
-    outside graph: the sequence checks its labels in order, so that line
-    holds the one it names."""
-    lineno = next(n for n, labels in lines
-                  if not all(x in graph.index for x in labels))
-    return InputError(f"line {lineno}: {exc}")
-
-
 def parse_vertex_sequence(text, graph, mode=LINEAR):
     """Whitespace-separated vertex labels."""
-    lines = [(lineno, raw.split("#", 1)[0].split())
-             for lineno, raw in enumerate(text.splitlines(), start=1)]
     try:
-        return VertexSequence(graph, tuple(x for _, labels in lines
-                                           for x in labels), mode=mode)
+        return VertexSequence(graph, tuple(_uncommented(text).split()),
+                              mode=mode)
     except InputError as exc:
-        raise _unknown_label(exc, lines, graph) from None
+        raise InputError(f"line {_token_line(text, exc.position)}: {exc}"
+                         ) from None
 
 
 def parse_cover_sequence(text, graph, k):
     """One set per line, labels space-separated."""
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
-            continue
-        if len(tokens) != len(set(tokens)):
-            raise ParseError("repeated label inside a set", line=lineno)
-        lines.append((lineno, tokens))
+    rows = list(filter(None, map(str.split, _uncommented(text).splitlines())))
+    sets = tuple(map(frozenset, rows))
+
+    def line(i):  # of row i, at the token position of its first label
+        return _token_line(text, sum(map(len, rows[:i])))
+
+    if list(map(len, sets)) != list(map(len, rows)):
+        i = next(i for i, (s, row) in enumerate(zip(sets, rows))
+                 if len(s) != len(row))
+        raise ParseError("repeated label inside a set", line=line(i))
     try:
-        return CoverSequence(graph, k,
-                             tuple(frozenset(labels) for _, labels in lines))
+        return CoverSequence(graph, k, sets)
     except InputError as exc:
-        raise _unknown_label(exc, lines, graph) from None
+        raise InputError(f"line {line(exc.position)}: {exc}") from None
 
 
 def serialize_cover_sequence(cov):

@@ -5,11 +5,13 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from radiuskit import debruijn
-from radiuskit.errors import InvalidParameterError, VerificationError
+from radiuskit.errors import (InputError, InvalidParameterError, ParseError,
+                              VerificationError)
 from radiuskit.exact import (OPTIMAL, UNKNOWN, ExactResult, SearchBudget,
                              _Exhausted, _SearchState)
 from radiuskit.graphs import Graph, edge_label, line_graph
@@ -23,6 +25,104 @@ def random_graph(rng, n, edge_prob=0.5):
     edges = [(labels[i], labels[j]) for i in range(n)
              for j in range(i + 1, n) if rng.random() < edge_prob]
     return Graph(labels, edges) if edges else None
+
+
+class ReferenceGraph(NamedTuple):
+    vertices: tuple
+    ends: np.ndarray
+    edges: tuple
+
+
+def graph_reference(vertices=(), edges=()):
+    """`Graph(vertices, edges)` as it was before the index kernel: one pass
+    over the edges, raising at the first self-loop or repeated edge, then
+    the label checks.  Returns the ReferenceGraph of labels, (E, 2) int64
+    endpoint indices and label edges."""
+    index = {}
+    for v in vertices:
+        index.setdefault(str(v), len(index))
+    ends = []
+    labelled = []
+    pairs = set()
+    for u, v in edges:
+        u, v = str(u), str(v)
+        if u == v:
+            raise InputError(f"self-loop at {u!r}")
+        a = index.setdefault(u, len(index))
+        b = index.setdefault(v, len(index))
+        # one int per unordered pair: lo < hi -> hi(hi - 1)/2 + lo
+        pair = a * (a - 1) // 2 + b if a > b else b * (b - 1) // 2 + a
+        if pair in pairs:
+            raise InputError(f"duplicate edge {u!r} {v!r}")
+        pairs.add(pair)
+        ends += (a, b)
+        labelled.append((u, v))
+    for v in index:
+        if v.split() != [v]:  # empty or holding whitespace
+            raise InputError(f"label {v!r} must be a non-whitespace token")
+        if "#" in v:  # every file format reads '#' as a comment
+            raise InputError(
+                f"label {v!r} holds '#', which starts a comment")
+    return ReferenceGraph(tuple(index),
+                          np.array(ends, dtype=np.int64).reshape(-1, 2),
+                          tuple(labelled))
+
+
+def parse_graph_reference(text):
+    """`parse_graph` as it was before the index kernel: a generator yields
+    each line's two labels to `graph_reference`, which raises at the first
+    bad edge; the generator's current line names it."""
+    lineno = 0
+
+    def edges():
+        nonlocal lineno
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            tokens = raw.split("#", 1)[0].split()
+            if not tokens:
+                continue
+            if len(tokens) != 2:
+                raise ParseError(
+                    f"expected two labels, got {len(tokens)}", line=lineno)
+            yield tokens
+
+    try:
+        return graph_reference((), edges())
+    except InputError as exc:
+        raise ParseError(str(exc), line=lineno) from None
+
+
+def bipartition_reference(g):
+    """The label BFS 2-colouring (label -> 0/1, each component's first
+    vertex 0), or None on an odd cycle; `Graph.bipartition` as it was."""
+    color = {}
+    for root in g.vertices:
+        if root in color:
+            continue
+        color[root] = 0
+        queue = [root]
+        while queue:
+            u = queue.pop()
+            for w in g.neighbors(u):
+                if w not in color:
+                    color[w] = 1 - color[u]
+                    queue.append(w)
+                elif color[w] == color[u]:
+                    return None
+    return color
+
+
+def is_connected_reference(g):
+    """Whether a label search from the first vertex reaches every vertex."""
+    if not g.vertices:
+        return True
+    seen = {g.vertices[0]}
+    stack = [g.vertices[0]]
+    while stack:
+        for w in g.neighbors(stack.pop()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(g.vertices)
 
 
 def random_valid_cover(g, k, rng):

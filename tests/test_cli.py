@@ -15,7 +15,7 @@ from radiuskit import binseq, cli, debruijn, exact, radius
 from radiuskit.cli import main
 from radiuskit.errors import VerificationError
 from radiuskit.graphs import complete, complete_bipartite, parse_graph, \
-    serialize_graph
+    path, serialize_graph
 from radiuskit.radius import parse_vertex_sequence, verify_radius
 
 
@@ -386,6 +386,34 @@ def test_domain_errors_name_the_file(capsys, tmp_path, k4_file, case):
     seq.write_text(text)
     code, out, err = run(capsys, argv + [str(seq)])
     assert (code, out, err) == (1, "", f"error: {seq}: {message}\n")
+
+
+@pytest.mark.parametrize("kind, text, message", [
+    ("cover1-coverk", "v1 v2\nv1 v3\n",
+     "line 2: 'v1' 'v3' is not an edge of the source"),
+    ("cover1-coverk", "v1 v2\n# gap\nv3 v4\nv2 v3\n",
+     "line 3: steps 1 and 2 share no endpoint"),
+    ("cover1-coverk", "v1 v2\nv2 v3\n",
+     "1-cover must list every source edge exactly once"),
+    ("ham-radius", "x1 y1 x2 y2 y3 x3\n",
+     "line 1: 'y2' and 'y3' are not adjacent"),
+    ("ham-radius", "x1 y1 x2 y2\n# then\ny3 x3\n",
+     "line 3: 'y2' and 'y3' are not adjacent"),
+    ("ham-radius", "x1 y1 x2 y1 x3 y3\n",
+     "path must visit every vertex exactly once"),
+], ids=["cover-not-edge", "cover-gap", "cover-short", "path-not-adjacent",
+        "path-later-line", "path-repeat"])
+def test_witness_errors_name_the_file_and_line(capsys, tmp_path, kind, text,
+                                               message):
+    graph = tmp_path / "source.edges"
+    graph.write_text(serialize_graph(
+        complete_bipartite(3, 3) if kind == "ham-radius" else path(4)))
+    witness = tmp_path / "w.txt"
+    witness.write_text(text)
+    code, out, err = run(capsys, ["reduce", kind, "--k", "2",
+                                  "--graph", str(graph),
+                                  "--witness", str(witness)])
+    assert (code, out, err) == (1, "", f"error: {witness}: {message}\n")
 
 
 def test_reduce_domain_error(capsys, tmp_path):

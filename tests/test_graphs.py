@@ -9,7 +9,8 @@ from helpers import line_graph_reference, random_graph
 from radiuskit.errors import InputError, InvalidParameterError, ParseError
 from radiuskit.graphs import (Graph, attach_pendants, circulant, complete,
                               complete_bipartite, cycle, edge_label,
-                              line_graph, parse_graph, path, serialize_graph)
+                              line_graph, parse_graph, path, pendant_label,
+                              serialize_graph)
 
 
 def test_generators():
@@ -114,6 +115,23 @@ def test_attach_pendants_preserves_original():
         assert g.has_edge(u, v)
     for v in base.vertices:
         assert g.degree(v) == base.degree(v) + 2
+
+
+def test_attach_pendants_matches_label_built():
+    for g in (path(1), complete(3), cycle(5), complete_bipartite(3, 3)):
+        for count in (0, 1, 3):
+            hung = attach_pendants(g, count)
+            leaves = [(v, pendant_label(v, j)) for v in g.vertices
+                      for j in range(1, count + 1)]
+            built = Graph(g.vertices + tuple(leaf for _, leaf in leaves),
+                          g.edges + tuple(leaves))
+            assert hung.vertices == built.vertices
+            assert hung.edges == built.edges
+            assert hung.ends.tolist() == built.ends.tolist()
+            assert hung.ends.dtype == built.ends.dtype
+            assert not hung.ends.flags.writeable
+    with pytest.raises(InputError, match="'e_a\\^1' collides"):
+        attach_pendants(Graph((), [("a", "e_a^1")]), 1)
 
 
 def test_parse_and_serialize():
