@@ -201,8 +201,9 @@ def exact_fk(g, k, mode=LINEAR, budget=None):
 
     Iterative deepening from the analytic lower bound; depth-first extension
     with the counting prune (each remaining slot covers at most k new
-    pairs, plus at most k(k+1)/2 wrap pairs in cyclic mode) and a
-    memory-capped table of suffix states known to fail.
+    pairs, plus at most k(k+1)/2 wrap pairs in cyclic mode), the
+    live-vertex prune below and a memory-capped table of suffix states
+    known to fail.
 
     The search runs on the indices of the non-isolated vertices in
     `g.vertices` order, with the covered edges as an int bitmask (bit i is
@@ -226,6 +227,18 @@ def exact_fk(g, k, mode=LINEAR, budget=None):
     cached by the distinct prefix vertices as bits (capped as the memo
     is); once every orbit is a single vertex, every larger prefix set
     tries all vertices without a lookup.  The orbit searches tick the budget.
+
+    A vertex is live while it has an uncovered edge.  A live vertex
+    outside the window (the last k items; in cyclic mode also the first k)
+    must occur again, as its occurrences so far pair with no later slot,
+    wrap pairs included; distinct vertices need distinct slots.  So a node
+    with more such vertices than remaining slots has no completion and is
+    cut.  The cut reads only the memo key and the remaining slots, so the
+    memo stays sound and the first witness is unchanged.  The vertices are
+    kept as bits, `live`: a step covers pairs only at the appended vertex
+    and the window, so a child's set is its parent's less the appended
+    vertex, plus last[0], which leaves the window, if that keeps an open
+    edge besides the one the child covers.
     """
     if g.num_edges < 1:
         raise InvalidParameterError("need at least one edge")
@@ -246,6 +259,7 @@ def exact_fk(g, k, mode=LINEAR, budget=None):
         nbrs[i].append(j)
         nbrs[j].append(i)
     no_pairs = [0] * n
+    edges_at = [sum(row) for row in pairbit]  # edges_at[v]: v's edge bits
     num_edges = g.num_edges
     full_mask = (1 << num_edges) - 1
 
@@ -273,11 +287,12 @@ def exact_fk(g, k, mode=LINEAR, budget=None):
             tries[seen] = least
         return least
 
-    def dfs(items, mask, length, seen):
+    def dfs(items, mask, length, seen, live):
         tick()
         pos = len(items)
         remaining = length - pos
-        if num_edges - mask.bit_count() > remaining * k + wrap_bonus:
+        if (num_edges - mask.bit_count() > remaining * k + wrap_bonus
+                or live.bit_count() > remaining):
             return None
         if pos == length:
             if cyclic:  # pairs across the wrap
@@ -286,19 +301,27 @@ def exact_fk(g, k, mode=LINEAR, budget=None):
                         mask |= pairbit[items[i]][items[length - d + i]]
             return list(items) if mask == full_mask else None
         last = tuple(items[-k:])
-        key = (last, tuple(items[:k]) if cyclic else None, mask)
+        first = tuple(items[:k]) if cyclic else ()
+        key = (last, first, mask)
         known = memo.get(key)
         if known is not None and known >= remaining:
             return None
         fresh = no_pairs  # fresh[v]: the pairs v would cover next
         for w in last:
             fresh = list(map(or_, fresh, pairbit[w]))
+        # last[0] leaves the window next: it joins each child's live set
+        # if it keeps an open edge besides the one that child covers
+        leaving, outside = 0, live
+        if pos >= k and last[0] not in last[1:] and last[0] not in first:
+            leaving = edges_at[last[0]] & ~mask
+            outside = live | 1 << last[0]
         # seen is None once the stabilizer of a subset was trivial
         choices = vertices if seen is None else least_in_orbits(seen)
         for v in choices:
             items.append(v)
             found = dfs(items, mask | fresh[v], length,
-                        None if choices is vertices else seen | 1 << v)
+                        None if choices is vertices else seen | 1 << v,
+                        (outside if leaving & ~fresh[v] else live) & ~(1 << v))
             items.pop()
             if found:
                 return found
@@ -311,7 +334,7 @@ def exact_fk(g, k, mode=LINEAR, budget=None):
     try:
         while length <= budget.max_length:
             memo.clear()
-            witness = dfs([], 0, length, 0)
+            witness = dfs([], 0, length, 0, (1 << n) - 1)
             if witness:
                 seq = VertexSequence(
                     g, tuple(labels[i] for i in witness), mode=mode)

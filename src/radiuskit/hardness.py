@@ -92,11 +92,17 @@ def hampath_witness_to_sequence(inst, path_vertices):
     with the spare edge at the last endpoint.  Non-path edges at the two
     endpoints are assigned in lexicographic label order.  A step between
     non-adjacent vertices raises a WitnessError carrying the position of
-    the vertex it steps to.
+    the vertex it steps to, and a repeated vertex the position of its
+    second visit.
     """
     f, k = inst.source, inst.k
     path_vertices = [str(v) for v in path_vertices]
     if sorted(path_vertices) != sorted(f.vertices):
+        seen = set()
+        for i, v in enumerate(path_vertices):
+            if v in seen:
+                raise WitnessError(f"path visits {v!r} again", position=i)
+            seen.add(v)
         raise WitnessError("path must visit every vertex exactly once")
     for i, (a, b) in enumerate(zip(path_vertices, path_vertices[1:]), 1):
         if not f.has_edge(a, b):

@@ -242,8 +242,9 @@ def test_exact_budget_exit(capsys, tmp_path):
 
 
 def test_exact_fk_unknown_exit(capsys, tmp_path):
-    # K_{5,5} at k = 2 takes far more than 4096 nodes at its first length,
-    # 20, so the first time check stops it there
+    # K_{5,5} at k = 2 has not finished its first length, 20, after 3 M
+    # nodes (live-vertex prune on), far more than 4096, so the first time
+    # check stops it there
     graph = tmp_path / "k55.edges"
     graph.write_text(serialize_graph(complete_bipartite(5, 5)))
     argv = ["exact", "fk", "--k", "2", "--graph", str(graph),
@@ -400,7 +401,7 @@ def test_domain_errors_name_the_file(capsys, tmp_path, k4_file, case):
     ("ham-radius", "x1 y1 x2 y2\n# then\ny3 x3\n",
      "line 3: 'y2' and 'y3' are not adjacent"),
     ("ham-radius", "x1 y1 x2 y1 x3 y3\n",
-     "path must visit every vertex exactly once"),
+     "line 1: path visits 'y1' again"),
 ], ids=["cover-not-edge", "cover-gap", "cover-short", "path-not-adjacent",
         "path-later-line", "path-repeat"])
 def test_witness_errors_name_the_file_and_line(capsys, tmp_path, kind, text,

@@ -17,7 +17,8 @@ from radiuskit.exact import (SearchBudget, _automorphism_orbits, _SearchState,
 from radiuskit.graphs import (Graph, circulant, complete, complete_bipartite,
                               cycle, line_graph, parse_graph, path,
                               serialize_graph)
-from radiuskit.hardness import reduce_hampath_to_radius
+from radiuskit.hardness import (hampath_witness_to_sequence,
+                                reduce_hampath_to_radius)
 from radiuskit.radius import (bounds, serialize_cover_sequence, verify_cover,
                               verify_radius)
 
@@ -248,9 +249,10 @@ def test_exact_fk_witness_ignores_edge_order():
 
 
 def test_k44_witness():
-    # pruning at the first position only took 3.8 M nodes
+    # pruning at the first position only took 3.8 M nodes, pruning every
+    # position by orbits 82,845, and the live-vertex prune 10,604
     result = exact_fk(complete_bipartite(4, 4), 2)
-    assert result.optimum == 13 and result.nodes < 100_000
+    assert result.optimum == 13 and result.nodes < 20_000
     assert " ".join(result.witness.items) == (
         "x1 y1 y2 x2 y3 y4 x3 y1 y2 x4 y3 y4 x1")
 
@@ -364,10 +366,24 @@ def test_k33_target_witness_and_orbit():
     assert len(automorphism_orbits_reference(target)) == 9
     for g in (target, parse_graph(serialize_graph(target))):
         result = exact_fk(g, 2)
-        assert result.optimum == 13
+        # 71,303 nodes before the live-vertex prune, 9,050 with it
+        assert result.optimum == 13 and result.nodes < 15_000
         assert " ".join(result.witness.items) == (
             "x1|y1 x1|y2 x1|y3 x2|y3 x3|y3 x3|y1 x3|y2 x1|y2 x2|y2 x2|y3 "
             "x2|y1 x1|y1 x3|y1")
+
+
+def test_q3_target_meets_the_threshold():
+    # f_2 of the cube's ham-radius target is the reduction threshold
+    # kn + 1 = 17: the Gray-code path gives a sequence of that length, and
+    # exact_fk proves no shorter one (unknown >= 17 at 3 M nodes before
+    # the live-vertex prune, 385,471 nodes with it)
+    inst = reduce_hampath_to_radius(_hypercube(3), 2)
+    gray = ["000", "001", "011", "010", "110", "111", "101", "100"]
+    assert len(hampath_witness_to_sequence(inst, gray)) == inst.threshold
+    result = exact_fk(inst.target, 2)
+    assert result.optimum == inst.threshold == 17
+    assert result.nodes < 500_000
 
 
 def test_orbit_searches_stop_at_a_trivial_stabilizer(monkeypatch):

@@ -49,8 +49,13 @@ def test_hampath_witness_lengths():
 
 def test_hampath_witness_rejects():
     inst = reduce_hampath_to_radius(complete_bipartite(3, 3), 2)
-    with pytest.raises(WitnessError):
+    with pytest.raises(WitnessError, match="'x1' again") as info:
         hampath_witness_to_sequence(inst, ["x1", "y1", "x1", "y2", "x3", "y3"])
+    assert info.value.position == 2
+    # a missing vertex with no repeat has no position to name
+    with pytest.raises(WitnessError, match="exactly once") as info:
+        hampath_witness_to_sequence(inst, ["x1", "y1", "x2", "y2", "x3"])
+    assert info.value.position is None
     with pytest.raises(WitnessError):
         hampath_witness_to_sequence(inst, ["x1", "x2", "y1", "y2", "x3", "y3"])
 
