@@ -8,8 +8,8 @@ two hardness-reduction instance builders.
 
 from .binseq import (BadPairReport, CyclicBitString, characteristic,
                      construct_low_bad, count_bad_pairs, wk_exact)
-from .debruijn import (DeBruijnGraph, OptimalCycle, ak, ak_bounds,
-                       check_certificate, dk, min_normalized_cycle, zk)
+from .debruijn import (DeBruijnGraph, OptimalCycle, ak, check_certificate,
+                       min_normalized_cycle, zk)
 from .errors import (BudgetError, InputError, InvalidParameterError,
                      ParseError, RadiuskitError, StructureError,
                      UnsupportedLengthError, VerificationError, WitnessError)
@@ -20,8 +20,7 @@ from .graphs import (Graph, attach_pendants, circulant, complete,
                      path, serialize_graph)
 from .hardness import (CoverReductionInstance, RadiusReductionInstance,
                        cover1_witness_to_coverk, hampath_witness_to_sequence,
-                       loss_count, reduce_cover1_to_coverk,
-                       reduce_hampath_to_radius)
+                       reduce_cover1_to_coverk, reduce_hampath_to_radius)
 from .radius import (BoundsReport, CoverSequence, VertexSequence, bounds,
                      construct_bipartite, cover_strategy_bipartite,
                      euler_radius1, linearize_cyclic, maxcut_circulant,

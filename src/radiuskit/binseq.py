@@ -36,6 +36,9 @@ _WALK_BLOCK = 1 << 14
 # k = 10 may run to s = 1927, which takes 2.3-2.5 s on a 2-core Xeon;
 # binary k = 14 is out of reach.
 WALK_LIMIT = 1 << 29
+# Length cap for `construct_low_bad`: s = 2^23 takes about 3.3 s and 350 MB
+# on a 2-core Xeon, both linear in s.
+LOWBAD_LIMIT = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -172,7 +175,7 @@ def _wk_brute_fields(k, s, t):
 
 def _brute_refusal(s, t):
     """The error `wk_brute` raises past its cap, or None when it applies."""
-    if t ** s > BRUTE_LIMIT:
+    if debruijn._power_exceeds(t, s, BRUTE_LIMIT):
         return BudgetError(
             f"brute force over {t}^{s} strings exceeds the {BRUTE_LIMIT} cap")
 
@@ -233,9 +236,9 @@ def _walk_refusal(k, s, t):
     if s < k + 1:
         return InvalidParameterError(
             f"walk method needs s >= k+1 (got s={s}, k={k})")
-    if t ** k > debruijn.DEFAULT_MAX_VERTICES:
+    if debruijn._power_exceeds(t, k, debruijn.DEFAULT_MAX_VERTICES):
         return BudgetError(
-            f"walk DP needs {t ** k} vertices, over the budget of "
+            f"walk DP needs {t}^{k} vertices, over the budget of "
             f"{debruijn.DEFAULT_MAX_VERTICES}")
     if (work := _walk_work(k, s, t)) > WALK_LIMIT:
         return BudgetError(
@@ -338,10 +341,14 @@ def construct_low_bad(k, s):
     Repeats an optimal cycle word floor(s/ell) times and pads with the
     leftover number of zeros at position 0.  The measured bad count is
     always below a_k*s + k(2^k + k); when ell divides s and s > 2k it equals
-    a_k*s exactly.
+    a_k*s exactly.  A length past LOWBAD_LIMIT raises BudgetError before any
+    string is built.
     """
     if s < 1:
         raise InvalidParameterError(f"length must be >= 1, got {s}")
+    if s > LOWBAD_LIMIT:
+        raise BudgetError(
+            f"low-bad string of length {s} is over the {LOWBAD_LIMIT} cap")
     cycle = debruijn.min_normalized_cycle(debruijn.DeBruijnGraph(k))
     ell = cycle.length
     if s < ell:

@@ -37,6 +37,13 @@ def _render_symbols(symbols, alphabet):
     return ",".join(str(s) for s in symbols)
 
 
+def _power_exceeds(t, e, cap):
+    """Whether t^e > cap, for t >= 2 and cap >= 0, without building t^e once
+    e >= cap.bit_length(): from there t^e >= 2^e > cap.  A budget check
+    that built t^e would run out of time and memory at large e first."""
+    return e >= cap.bit_length() or t ** e > cap
+
+
 def _check_alphabet(alphabet):
     if alphabet < 2:
         raise InvalidParameterError(
@@ -61,14 +68,6 @@ class DeBruijnGraph:
         if self.k < 1:
             raise InvalidParameterError(f"window length k must be >= 1, got {self.k}")
         _check_alphabet(self.alphabet)
-
-    @property
-    def num_vertices(self):
-        return self.alphabet ** self.k
-
-    @property
-    def num_edges(self):
-        return self.alphabet ** (self.k + 1)
 
 
 @dataclass(frozen=True)
@@ -167,11 +166,11 @@ def min_normalized_cycle(g, max_vertices=DEFAULT_MAX_VERTICES):
     the certificate fails (an internal fault, never a valid result).
     """
     k, t = g.k, g.alphabet
-    size = t ** k
-    if size > max_vertices:
+    if _power_exceeds(t, k, max_vertices):
         raise BudgetError(
-            f"minimum-cycle DP needs {size} vertices, over the budget of "
+            f"minimum-cycle DP needs {t}^{k} vertices, over the budget of "
             f"{max_vertices}; raise max_vertices to force the computation")
+    size = t ** k
     # Howard's scaled potentials stay within 2*k*V^2 in magnitude and the
     # tight-cycle distances within k*V^2; both must stay below the walk
     # sentinel _INF = 2^50, which leaves 2^13 of headroom below int64.
@@ -472,35 +471,8 @@ def zk(k):
     return best
 
 
-class AkBounds(NamedTuple):
-    lower: float
-    upper: Fraction
-
-
-def ak_bounds(k):
-    """Analytic sandwich for the minimum cycle constant.
-
-    lower = sqrt(2k(k-1)) - k as an IEEE double (about 16 significant
-    digits), clamped at 0 since cycle weights are nonnegative (for k = 1 the
-    raw expression is -1).  upper = zk(k), realized by an explicit cycle.
-    """
-    if k < 1:
-        raise InvalidParameterError(f"k must be >= 1, got {k}")
-    lower = max(0.0, math.sqrt(2 * k * (k - 1)) - k)
-    upper = zk(k).value
-    if lower > upper:
-        raise VerificationError(
-            "analytic lower bound exceeded the cycle bound")
-    return AkBounds(lower, upper)
-
-
 def ak(k, alphabet=2, max_vertices=DEFAULT_MAX_VERTICES):
     """Exact minimum normalized cycle weight (the binary case by default)."""
     cycle = min_normalized_cycle(DeBruijnGraph(k, alphabet), max_vertices)
     return cycle.normalized
 
-
-def dk(k):
-    """Overhead constant k / (k - a_k), exact."""
-    a = ak(k)
-    return Fraction(k) / (k - a)

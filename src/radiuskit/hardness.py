@@ -1,4 +1,4 @@
-"""Hardness-reduction instance builders, witness transformers, loss counting.
+"""Hardness-reduction instance builders and witness transformers.
 
 Two reductions are constructed here: Hamiltonian path in a cubic
 triangle-free graph to a threshold k-radius instance on a line graph with
@@ -43,8 +43,12 @@ class CoverReductionInstance:
     def witness_losses(self):
         """Losses of any valid cover `target_length` long: C(k,2)(m-1).
 
-        This is the identity of `loss_count` with s = target_length, and
-        `cover1_witness_to_coverk` returns only such covers.
+        A loss is a co-residency that covers no new edge.  The first set
+        brings C(k+1,2) newly co-resident pairs and each later set k, and
+        each edge is covered at exactly one of them, so a valid cover of s
+        sets has e(G) + losses = k(s-1) + C(k+1,2).  This is that identity
+        at s = target_length; `cover1_witness_to_coverk` returns only such
+        covers.
         """
         return (self.k * (self.target_length - 1) + math.comb(self.k + 1, 2)
                 - self.target.num_edges)
@@ -159,7 +163,8 @@ def _gadget_fans(u, v, fan_size):
 
 def reduce_cover1_to_coverk(h, k):
     """Replace every source edge uv by a gadget: a k-clique joined to u, v
-    and N-2 private fan vertices, with N = C(k,2)(m-1) + C(k+1,2) + 3."""
+    and N-2 private fan vertices, with N = C(k,2)(m-1) + C(k+1,2) + 3.
+    A gadget label that repeats another vertex label raises InputError."""
     if k < 2:
         raise InvalidParameterError(f"reduction needs k >= 2, got {k}")
     if h.num_edges < 1:
@@ -181,7 +186,16 @@ def reduce_cover1_to_coverk(h, k):
             edges.append((x, u))
             edges.append((x, v))
             edges.extend((x, y) for y in fans)
-    target = Graph(vertices, edges)
+    # distinct labels give distinct, valid gadget edges, so a repeated edge
+    # or fewer vertices than labels means that two labels coincide
+    try:
+        target = Graph(vertices, edges)
+    except InputError:
+        target = None
+    if target is None or target.num_vertices != len(vertices):
+        seen = set()
+        label = next(v for v in vertices if v in seen or seen.add(v))
+        raise InputError(f"gadget label {label!r} collides with a vertex")
     expected = m * (math.comb(k, 2) + fan * k)
     if target.num_edges != expected:
         raise VerificationError(
@@ -261,26 +275,6 @@ def cover1_witness_to_coverk(inst, one_cover):
     require_valid(verify_cover(cov),
                   f"transformed witness of length {len(sets)}")
     return cov
-
-
-def loss_count(cov):
-    """Count co-residency events that cover no new edge.
-
-    The newly co-resident pairs of a set are those of its newly arrived
-    member with the k others, and all C(k+1,2) pairs of the first set; a
-    pair cannot have been inside the preceding set.  Such a pair is a loss
-    unless it is an edge co-resident for the first time, and each covered
-    edge has exactly one such first co-residency.  So a sequence of s >= 1
-    sets has k(s-1) + C(k+1,2) - (covered edges) losses, which for a valid
-    cover sequence gives e(G) + losses = k(s-1) + C(k+1,2).  The covered
-    edges come from `verify_cover`, which also checks the structure first.
-    """
-    check = verify_cover(cov)
-    if not cov.sets:
-        return 0
-    k = cov.k
-    covered = cov.graph.num_edges - len(check.uncovered)
-    return k * (len(cov.sets) - 1) + math.comb(k + 1, 2) - covered
 
 
 def instance_metadata(inst):

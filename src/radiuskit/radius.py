@@ -59,13 +59,14 @@ class CoverSequence:
         if self.k < 1:
             raise InvalidParameterError(f"k must be >= 1, got {self.k}")
         sets = tuple(frozenset(map(str, s)) for s in self.sets)
-        object.__setattr__(self, "sets", sets)
         unknown = frozenset().union(*sets).difference(self.graph.index)
         if unknown:
-            at, x = next((i, x) for i, s in enumerate(sets) for x in s
-                         if x in unknown)
+            # the first in the given order, whatever the string hash seed
+            at, x = next((i, x) for i, s in enumerate(self.sets)
+                         for x in map(str, s) if x in unknown)
             raise InputError(f"cover set refers to unknown vertex {x!r}",
                              position=at)
+        object.__setattr__(self, "sets", sets)
 
     def __len__(self):
         return len(self.sets)
@@ -519,8 +520,8 @@ def parse_cover_sequence(text, graph, k):
         i = next(i for i, (s, row) in enumerate(zip(sets, rows))
                  if len(s) != len(row))
         raise ParseError("repeated label inside a set", line=line(i))
-    try:
-        return CoverSequence(graph, k, sets)
+    try:  # the rows keep the file order, so an error names the first label
+        return CoverSequence(graph, k, rows)
     except InputError as exc:
         raise InputError(f"line {line(exc.position)}: {exc}") from None
 

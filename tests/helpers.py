@@ -665,10 +665,8 @@ def exact_ck_reference(g, k, budget=None):
 def loss_count_reference(cov):
     """Test oracle: co-residency losses by rescanning every pair of every set.
 
-    `hardness.loss_count` as it was before it counted from the newly
-    arrived members: a pair of a set that was not inside the preceding set
-    is a loss when it is not an edge or was co-resident strictly before the
-    preceding set.
+    A pair of a set that was not inside the preceding set is a loss when it
+    is not an edge or was co-resident strictly before the preceding set.
     """
     check_cover_structure(cov)
     edges = cov.graph.edge_set()

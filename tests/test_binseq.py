@@ -266,6 +266,26 @@ def test_wk_walk_work_budget():
     assert wk_exact(14, 20) == wk_brute(14, 20)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: wk_brute(2, 4 * 10 ** 9),
+    lambda: wk_walk(20000, 20001),
+    lambda: wk_exact(20000, 20001),
+    lambda: wk_exact(2, 4 * 10 ** 9),
+    lambda: construct_low_bad(20000, 50),
+    lambda: construct_low_bad(2, binseq.LOWBAD_LIMIT + 1)])
+def test_budgets_refuse_before_building(call):
+    """Each budget check compares the exponent, not the power t^e, and the
+    low-bad length before any string: a refusal costs no memory."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
 def test_wk_walk_rejects_odd_total(monkeypatch):
     true_tables = binseq._truncated_weight_tables
     monkeypatch.setattr(binseq, "_truncated_weight_tables",

@@ -4,6 +4,8 @@ import argparse
 import ast
 import inspect
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import radiuskit
 from radiuskit import binseq, cli, debruijn, exact, radius
 from radiuskit.cli import main
 from radiuskit.errors import VerificationError
@@ -79,6 +82,26 @@ def test_verify_cover(capsys, tmp_path, k4_file):
     assert code == 1 and out.startswith("INVALID (reads 0)\n")
 
 
+def test_unknown_cover_label_is_the_first_in_file_order(tmp_path):
+    """The label named must not hang on the string hash seed, which is
+    fixed per interpreter: so each run is a fresh one under its own seed."""
+    graph = tmp_path / "tri.edges"
+    graph.write_text("a b\nb c\nc a\n")
+    cov = tmp_path / "cov.txt"
+    cov.write_text("a zz1 zz2 zz3 zz4 zz5\n")
+    argv = [sys.executable, "-m", "radiuskit.cli", "verify", "cover", "--k",
+            "5", "--graph", str(graph), "--seq", str(cov)]
+    src = str(Path(radiuskit.__file__).resolve().parents[1])
+    runs = [subprocess.Popen(argv, stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True,
+                             env=dict(os.environ, PYTHONPATH=src,
+                                      PYTHONHASHSEED=str(seed)))
+            for seed in range(6)]
+    results = {(p.wait(), *p.communicate()) for p in runs}
+    assert results == {(1, "", f"error: {cov}: line 1: cover set refers to "
+                               f"unknown vertex 'zz1'\n")}
+
+
 def test_usage_errors(capsys, tmp_path, k4_file):
     bad = tmp_path / "bad.edges"
     bad.write_text("a a\n")
@@ -133,6 +156,38 @@ def test_construction_self_check_failure_exit(capsys, monkeypatch):
 def test_budget_exit(capsys):
     code, _, err = run(capsys, ["ak", "--k", "25"])
     assert code == 3 and "budget" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ak", "--k", "20000"], ["lowbad", "--k", "20000", "--s", "50"],
+    ["lowbad", "--k", "2", "--s", str(binseq.LOWBAD_LIMIT + 1)],
+    ["construct", "bipartite", "--m", "3", "--n", "3", "--k", "20000"],
+    ["wk", "--k", "20000", "--s", "20001"],
+    ["wk", "--k", "2", "--s", "4000000000"],
+    ["maxcut", "circulant", "--n", "4000000000", "--k", "2"]])
+def test_huge_parameters_exit_3(capsys, argv):
+    # past 4,300 digits t^k cannot be printed, and far past it not built
+    tracemalloc.start()
+    code, out, err = run(capsys, argv)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert code == 3 and out == "" and peak < 1 << 20
+    assert err.startswith("budget exhausted: ") and "Traceback" not in err
+    if argv[0] == "ak":
+        assert err == ("budget exhausted: minimum-cycle DP needs 2^20000 "
+                       "vertices, over the budget of 16384; raise "
+                       "max_vertices to force the computation\n")
+
+
+def test_bipartite_bound_skips_a_huge_k(capsys, tmp_path):
+    # a_k is over budget, so the bipartite bound is left out, not a traceback
+    c4 = tmp_path / "c4.edges"
+    c4.write_text(serialize_graph(complete_bipartite(2, 2)))
+    code, out, _ = run(capsys, ["bounds", "--k", "20000", "--graph", str(c4)])
+    assert code == 0 and "bipartite cycle bound" not in out
+    code, out, _ = run(capsys, ["exact", "fk", "--k", "20000",
+                                "--graph", str(c4)])
+    assert (code, out) == (0, "f_20000 = 4\nx1 y1 y2 x2\n")
 
 
 def test_bipartite_pair_budget_exit(capsys, monkeypatch):
@@ -432,6 +487,19 @@ def test_reduce_rejects_separator_labels(capsys, tmp_path):
     code, _, err = run(capsys, ["reduce", "ham-radius", "--k", "2",
                                 "--graph", str(graph_file)])
     assert code == 1 and "'|'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, label", [
+    ("a b\nb x[a,b]^1\n", "x[a,b]^1"),
+    ("p,q r\nr p\np q,r\n", "x[p,q,r]^1")])
+def test_reduce_refuses_gadget_label_collisions(capsys, tmp_path, text,
+                                                label):
+    graph_file = tmp_path / "h.edges"
+    graph_file.write_text(text)
+    code, out, err = run(capsys, ["reduce", "cover1-coverk", "--k", "2",
+                                  "--graph", str(graph_file)])
+    assert (code, out) == (1, "")
+    assert err == f"error: gadget label {label!r} collides with a vertex\n"
 
 
 def test_conjecture(capsys):

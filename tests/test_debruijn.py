@@ -1,6 +1,5 @@
 """Tests for the weighted de Bruijn graph and minimum-cycle machinery."""
 
-import math
 import tracemalloc
 from fractions import Fraction
 
@@ -10,9 +9,8 @@ from helpers import (edge_word_weight, extract_tight_cycle_reference,
                      karp_min_cycle)
 
 from radiuskit import debruijn
-from radiuskit.debruijn import (DeBruijnGraph, ak, ak_bounds,
-                                check_certificate, dk, min_normalized_cycle,
-                                zk)
+from radiuskit.debruijn import (DeBruijnGraph, ak, check_certificate,
+                                min_normalized_cycle, zk)
 from radiuskit.errors import (BudgetError, InvalidParameterError,
                               VerificationError)
 
@@ -54,11 +52,11 @@ def cycle_word_weight(word, k):
 
 
 def test_build_sizes():
-    g = DeBruijnGraph(1)
-    assert (g.num_vertices, g.num_edges) == (2, 4)
-    g = DeBruijnGraph(3)
-    assert (g.num_vertices, g.num_edges) == (8, 16)
-    assert DeBruijnGraph(2, 3).num_vertices == 9
+    # one potential per vertex: t^k of them
+    for k, t, size in [(1, 2, 2), (3, 2, 8), (2, 3, 9)]:
+        g = DeBruijnGraph(k, t)
+        assert (g.k, g.alphabet) == (k, t)
+        assert min_normalized_cycle(g).potentials.shape == (size,)
 
 
 def test_build_invalid():
@@ -219,24 +217,10 @@ def test_zk_matches_explicit_cycle():
         assert len(windows) == 2 * t
 
 
-def test_ak_bounds():
-    low, high = ak_bounds(1)
-    assert low == 0 and high == 0
-    low, high = ak_bounds(5)
-    assert low == pytest.approx(math.sqrt(40) - 5, abs=1e-12)
-    assert high == Fraction(7, 4)
-    low, high = ak_bounds(4)
-    assert low == pytest.approx(math.sqrt(24) - 4, abs=1e-12)
-    assert high == Fraction(4, 3)
-    for k in range(1, 13):
-        low, high = ak_bounds(k)
-        assert low <= high
-
-
 def test_dk_values():
-    assert dk(1) == 1
-    assert dk(2) == Fraction(4, 3)
-    assert dk(5) == Fraction(20, 13)
+    # the overhead constant d_k = k / (k - a_k) of the bipartite bound
+    for k, expected in [(1, 1), (2, Fraction(4, 3)), (5, Fraction(20, 13))]:
+        assert k / (k - ak(k)) == expected
 
 
 def test_analytic_invariants():
@@ -256,9 +240,20 @@ def test_budget_error():
     with pytest.raises(BudgetError):
         min_normalized_cycle(DeBruijnGraph(20))
     with pytest.raises(BudgetError):
-        dk(16)
+        ak(16)
 
 
 def test_large_k_encodes_without_materializing():
-    g = DeBruijnGraph(24)
-    assert g.num_vertices == 2 ** 24 and g.num_edges == 2 ** 25
+    # building the graph is O(1), and the search refuses it before
+    # allocating a vertex; past 4,300 digits t^k could not even be printed,
+    # so the refusal names the power instead of computing it
+    for k in (24, 20000, 10 ** 9):
+        tracemalloc.start()
+        try:
+            g = DeBruijnGraph(k)
+            with pytest.raises(BudgetError, match=rf"needs 2\^{k} vertices"):
+                min_normalized_cycle(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (g.k, g.alphabet) == (k, 2) and peak < 1 << 16

@@ -1,4 +1,10 @@
-"""Tests for the reduction constructions, witness transformers, and losses."""
+"""Tests for the reduction constructions, witness transformers, and losses.
+
+A loss is a co-residency that covers no new edge.  `loss_count_reference`
+counts losses by rescanning every pair; `identity_losses` reads them off
+`verify_cover` as k(s-1) + C(k+1,2) - (covered edges), the identity that
+`CoverReductionInstance.witness_losses` evaluates in closed form.
+"""
 
 import math
 import random
@@ -8,17 +14,23 @@ from helpers import find_one_cover, loss_count_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radiuskit.errors import (InputError, InvalidParameterError,
-                              StructureError, WitnessError)
+from radiuskit.errors import InputError, InvalidParameterError, WitnessError
 from radiuskit.exact import exact_ck
 from radiuskit.graphs import Graph, complete, complete_bipartite, cycle, path
 from radiuskit.hardness import (cover1_witness_to_coverk,
                                 hampath_witness_to_sequence, instance_metadata,
-                                loss_count, reduce_cover1_to_coverk,
+                                reduce_cover1_to_coverk,
                                 reduce_hampath_to_radius, serialize_metadata)
 from radiuskit.radius import CoverSequence, verify_cover, verify_radius
 
 HAM_PATH_K33 = ["x1", "y1", "x2", "y2", "x3", "y3"]
+
+
+def identity_losses(cov):
+    """Losses of a non-empty set sequence from the pairs it brings in: the
+    first set C(k+1,2) and each later one k, less the covered edges."""
+    covered = cov.graph.num_edges - len(verify_cover(cov).uncovered)
+    return cov.k * (len(cov) - 1) + math.comb(cov.k + 1, 2) - covered
 
 
 def test_reduce_hampath_examples():
@@ -71,6 +83,17 @@ def test_reduce_cover_examples():
     assert inst.fan_size == 12 and inst.target_length == 26
 
 
+@pytest.mark.parametrize("edges, label", [
+    # a source vertex named like a gadget vertex: merged, 16 of 17 vertices
+    ([("a", "b"), ("b", "x[a,b]^1")], "x[a,b]^1"),
+    # two gadgets named alike: edges p,q-r and p-q,r
+    ([("p,q", "r"), ("r", "p"), ("p", "q,r")], "x[p,q,r]^1")])
+def test_reduce_cover_refuses_label_collisions(edges, label):
+    with pytest.raises(InputError) as err:
+        reduce_cover1_to_coverk(Graph((), edges), 2)
+    assert str(err.value) == f"gadget label {label!r} collides with a vertex"
+
+
 def test_gadget_edge_counts():
     for h in [path(3), path(4), complete(3), cycle(4)]:
         for k in (2, 3):
@@ -85,13 +108,13 @@ def test_cover_witness_transforms():
     cov = cover1_witness_to_coverk(inst, [("v1", "v2"), ("v2", "v3")])
     assert len(cov) == 15
     assert verify_cover(cov).valid
-    assert loss_count(cov) == math.comb(2, 2) * 1 == 1
+    assert loss_count_reference(cov) == inst.witness_losses == 1
     inst = reduce_cover1_to_coverk(complete(3), 2)
     cov = cover1_witness_to_coverk(
         inst, [("v1", "v2"), ("v2", "v3"), ("v1", "v3")])
     assert len(cov) == 26
     assert verify_cover(cov).valid
-    assert loss_count(cov) == math.comb(2, 2) * 2
+    assert loss_count_reference(cov) == inst.witness_losses == 2
 
 
 def test_cover_witness_loss_matches_formula():
@@ -103,8 +126,8 @@ def test_cover_witness_loss_matches_formula():
         cov = cover1_witness_to_coverk(inst, one_cover)
         assert len(cov) == inst.target_length
         assert verify_cover(cov).valid
-        assert loss_count(cov) == math.comb(k, 2) * (h.num_edges - 1)
-        assert inst.witness_losses == loss_count(cov)
+        assert loss_count_reference(cov) == inst.witness_losses == \
+            math.comb(k, 2) * (h.num_edges - 1)
 
 
 def test_cover_witness_rejects():
@@ -134,14 +157,14 @@ def test_cover_witness_rejects_pivot():
 def test_loss_count_examples():
     k3 = complete(3)
     cov = CoverSequence(k3, 1, ({"v1", "v2"}, {"v2", "v3"}, {"v1", "v3"}))
-    assert loss_count(cov) == 0
-    result = exact_ck(complete(4), 2)
-    s = len(result.witness)
-    assert loss_count(result.witness) == 2 * (s - 1) + 3 - 6 == 1
+    assert identity_losses(cov) == loss_count_reference(cov) == 0
+    cov = exact_ck(complete(4), 2).witness
+    s = len(cov)
+    assert identity_losses(cov) == loss_count_reference(cov) == \
+        2 * (s - 1) + 3 - 6 == 1
     # every pair of a clique first set is an edge: zero initial losses
-    first_set_losses = loss_count(
-        CoverSequence(complete(4), 2, ({"v1", "v2", "v3"},)))
-    assert first_set_losses == 0
+    cov = CoverSequence(complete(4), 2, ({"v1", "v2", "v3"},))
+    assert identity_losses(cov) == loss_count_reference(cov) == 0
 
 
 def test_loss_identity_randomized():
@@ -159,7 +182,7 @@ def test_loss_identity_randomized():
         cov = random_valid_cover(g, k, rng)
         assert verify_cover(cov).valid
         s = len(cov)
-        assert g.num_edges + loss_count(cov) == \
+        assert g.num_edges + loss_count_reference(cov) == \
             k * (s - 1) + math.comb(k + 1, 2)
         done += 1
 
@@ -186,28 +209,16 @@ def test_loss_count_matches_reference():
             current.add(rng.choice(outside))
             sets.append(frozenset(current))
         cov = CoverSequence(g, k, tuple(sets))
-        assert loss_count(cov) == loss_count_reference(cov)
+        assert identity_losses(cov) == loss_count_reference(cov)
         done += 1
-
-
-def test_loss_count_empty_and_bad_structure():
-    assert loss_count(CoverSequence(complete(4), 2, ())) == 0
-    bad = CoverSequence(complete(4), 1, ({"v1", "v2"}, {"v3", "v4"}))
-    with pytest.raises(StructureError) as expected:
-        verify_cover(bad)
-    with pytest.raises(StructureError) as err:
-        loss_count(bad)
-    assert err.value.index == expected.value.index == 2
-    assert str(err.value) == str(expected.value)
 
 
 @pytest.mark.parametrize("n, k", [(13, 2), (20, 3), (30, 3)])
 def test_loss_count_matches_reference_on_reduction_witness(n, k):
     inst = reduce_cover1_to_coverk(cycle(n), k)
     cov = cover1_witness_to_coverk(inst, find_one_cover(cycle(n)))
-    losses = loss_count(cov)
-    assert losses == loss_count_reference(cov) == inst.witness_losses
-    assert losses == math.comb(k, 2) * (n - 1)
+    assert loss_count_reference(cov) == inst.witness_losses == \
+        math.comb(k, 2) * (n - 1)
 
 
 @st.composite
@@ -233,7 +244,7 @@ def swap_walks(draw):
 @settings(max_examples=300, deadline=None)
 @given(swap_walks())
 def test_loss_count_property(cov):
-    assert loss_count(cov) == loss_count_reference(cov)
+    assert identity_losses(cov) == loss_count_reference(cov)
 
 
 def test_metadata():
