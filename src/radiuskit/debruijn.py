@@ -23,9 +23,11 @@ import numpy as np
 from .errors import BudgetError, InvalidParameterError, VerificationError
 
 # Default cap on the vertex count of the exact minimum-cycle search.  Howard
-# policy iteration takes about k rounds of O(E log V) vectorized work: about
-# 0.1 s at the cap (binary k = 14, 12 rounds) on a 2-core Xeon, and about
-# 15 s at 2^20 vertices when the cap is raised through `max_vertices`.
+# policy iteration takes about k rounds of O(E log V) vectorized work on the
+# symbol-permutation quotient (2^(k-1) vertices when binary), and the
+# witness and certificate run on all t^k: binary ak(k) takes about 0.05 s
+# at the cap (k = 14, 12 rounds) on a 2-core shared Xeon, and about 8 s at
+# 2^20 vertices when the cap is raised through `max_vertices`.
 DEFAULT_MAX_VERTICES = 1 << 14
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -152,9 +154,10 @@ def min_normalized_cycle(g, max_vertices=DEFAULT_MAX_VERTICES):
     """Exact minimum normalized cycle weight of g, with a certified witness.
 
     Finds the minimum mu = p/q by Howard policy iteration in exact int64
-    arithmetic, then extracts a witness from potentials: reweight edges by
-    q*w - p, compute shortest walk distances, and take any cycle of tight
-    edges.  Every cycle found that way attains the minimum exactly.  Ties
+    arithmetic, on the graph's quotient by the symbol permutations, then
+    extracts a witness on the graph itself from potentials: reweight edges
+    by q*w - p, compute shortest walk distances, and take any cycle of
+    tight edges.  Every cycle found that way attains the minimum exactly.  Ties
     between optimal cycles are broken by a fixed walk from vertex 0 that
     appends the least symbol still leading to a tight cycle (see
     `_extract_tight_cycle`); any minimum cycle is acceptable downstream.
@@ -169,7 +172,8 @@ def min_normalized_cycle(g, max_vertices=DEFAULT_MAX_VERTICES):
     if _power_exceeds(t, k, max_vertices):
         raise BudgetError(
             f"minimum-cycle DP needs {t}^{k} vertices, over the budget of "
-            f"{max_vertices}; raise max_vertices to force the computation")
+            f"{max_vertices}; a library call can raise it through its "
+            f"max_vertices argument")
     size = t ** k
     # Howard's scaled potentials stay within 2*k*V^2 in magnitude and the
     # tight-cycle distances within k*V^2; both must stay below the walk
@@ -201,28 +205,84 @@ def _howard_min_mean(k, t, cnt):
     1998); its graph is functional, so every vertex drains into one cycle.
     `_evaluate_policy` gives each vertex its cycle's mean and a potential,
     and `_improve_policy` switches vertices to better successors until none
-    is better.  The de Bruijn graph is strongly connected, so at the end
-    every vertex has the same mean: the minimum.
+    is better.
+
+    Howard runs on the quotient of the graph by the permutations of the
+    alphabet (see `_quotient_graph`), not on the graph itself.  A weight
+    only compares symbols, so every permutation maps the graph onto itself
+    and keeps every weight, and both graphs have the same least cycle mean:
+    - a cycle of the graph maps, window by window, to a closed walk of the
+      quotient with the same weight and length;
+    - a closed walk of the quotient lifts, edge by edge, to a path of the
+      same weight and length from a window u to sigma(u), for some
+      permutation sigma; repeating it under sigma ord(sigma) times closes
+      it at the same mean, and a closed walk splits into cycles, one of
+      which is no heavier per edge.
+    The quotient is strongly connected, as the image of a strongly
+    connected graph, so at the end every vertex has the same mean: the
+    minimum.
     """
-    size = t ** k
-    shift = t ** (k - 1)
+    codes, succ = _quotient_graph(k, t)
+    # weights[c, i] = cnt[0, codes[i]*t + c]: a canonical window starts
+    # with 0, so its code is also the code of its last k - 1 symbols
+    weights = cnt[0][codes * t + np.arange(t)[:, None]]
+    size = len(codes)
     vertices = np.arange(size)
-    base = vertices % shift * t  # u's successors are base[u] + c
-    # weights[c, u] = cnt[u // shift, base[u] + c]: with u = b*shift + j
-    # that is cnt[b, j*t + c], a strided view of cnt
-    weights = np.moveaxis(cnt.reshape(t, shift, t), 2, 0).reshape(t, size)
     rounds = max(1, (size - 1).bit_length())  # 2^rounds >= size
 
-    sym = np.argmin(weights, axis=0)
+    # the lightest successors, ties to the highest symbol: in a canonical
+    # window that is a symbol new to the window, if one is free
+    sym = t - 1 - np.argmin(weights[::-1], axis=0)
     while True:
-        p, q, x = _evaluate_policy(base + sym, weights[sym, vertices],
-                                   rounds)
-        if not _improve_policy(sym, p, q, x, base, weights):
+        p, q, x = _evaluate_policy(succ[sym, vertices],
+                                   weights[sym, vertices], rounds)
+        if not _improve_policy(sym, p, q, x, succ, weights):
             return Fraction(int(p[0]), int(q[0]))
         del p, q, x  # free them before the next evaluation
 
 
-def _improve_policy(sym, p, q, x, base, weights):
+def _quotient_graph(k, t):
+    """The de Bruijn graph's quotient by the permutations of the alphabet.
+
+    Its vertices are the canonical windows, those whose symbols appear in
+    the order 0, 1, 2, ... (each orbit's least word), in code order: the
+    2^(k-1) windows that start with 0 when t = 2, and sum_{j <= t} S(k, j)
+    in general (S: Stirling numbers of the second kind).  Returns their
+    int64 codes and the (t, Q) table whose entry [c, i] is the index of the
+    canonical form of codes[i] % t^(k-1) * t + c, the successor by symbol
+    c.
+
+    The windows grow one symbol at a time, each new symbol at most one
+    above the largest so far, `top`.  With each window u = 0 s the loop
+    keeps the canonical form of s.  The symbols 1..top first appear in s
+    in that order, as in u, and a 0 in s first appears after 1..low for
+    some low (low = top before s holds a 0).  So s becomes canonical when
+    0 is renamed low, 1..low are renamed 0..low - 1 and the rest stay.
+    The successor s c is renamed the same way, except that a symbol c not
+    in s takes the next free name: top + 1 if s holds a 0, else top.
+    """
+    # rows: code, the canonical code of s, top, low, whether s holds a 0
+    state = np.zeros((5, 1), dtype=np.int64)
+    for n in range(1, k):
+        rows, d = np.nonzero(np.arange(min(t, n + 1)) <= state[2, :, None] + 1)
+        state = state[:, rows]
+        code, rest, top, low, zero = state
+        np.maximum(top, d, out=top)
+        np.copyto(low, top, where=zero == 0)
+        first = d == 0
+        zero |= first
+        state[:2] *= t
+        code += d
+        rest += np.where(first, low, d - (d <= low))
+    code, rest, top, low, zero = state
+    c = np.arange(t)[:, None]
+    name = np.where(c == 0, low, c - (c <= low))
+    np.minimum(name, top + zero, out=name)
+    name += rest * t
+    return code, np.searchsorted(code, name)
+
+
+def _improve_policy(sym, p, q, x, succ, weights):
     """One improvement step on the policy `sym`, in place.
 
     Vertices move to a successor of strictly smaller mean when any vertex
@@ -231,23 +291,23 @@ def _improve_policy(sym, p, q, x, base, weights):
     kept cycle keeps its anchor, so its potentials stay), so no policy
     repeats.  Returns False when no vertex moves: the policy is optimal.
     """
-    choice, move = _lower_mean_moves(p, q, base, len(weights))
+    choice, move = _lower_mean_moves(p, q, succ)
     if not move.any():
-        choice, move = _lower_potential_moves(p, q, x, base, weights)
+        choice, move = _lower_potential_moves(p, q, x, succ, weights)
     sym[move] = choice[move]
     return bool(move.any())
 
 
-def _lower_mean_moves(p, q, base, t):
+def _lower_mean_moves(p, q, succ):
     """Successor symbols of least mean, and where that mean is lower.
 
     Returns each vertex's successor of least mean (ties to the lowest
     symbol) and the mask of vertices whose own mean is strictly larger.
     """
-    choice = np.zeros(len(base), dtype=np.int64)
-    best_p, best_q = p[base], q[base]
-    for c in range(1, t):
-        cp, cq = p[base + c], q[base + c]
+    choice = np.zeros(succ.shape[1], dtype=np.int64)
+    best_p, best_q = p[succ[0]], q[succ[0]]
+    for c in range(1, len(succ)):
+        cp, cq = p[succ[c]], q[succ[c]]
         lower = cp * best_q < best_p * cq
         choice[lower] = c
         best_p[lower] = cp[lower]
@@ -255,16 +315,15 @@ def _lower_mean_moves(p, q, base, t):
     return choice, best_p * q < p * best_q
 
 
-def _lower_potential_moves(p, q, x, base, weights):
+def _lower_potential_moves(p, q, x, succ, weights):
     """Successor symbols of least potential, and where it is lower.
 
     Returns each vertex's same-mean successor of least q*w - p + X (ties
     to the lowest symbol) and the mask of vertices where that is below X.
     """
-    choice = np.zeros(len(base), dtype=np.int64)
+    choice = np.zeros(succ.shape[1], dtype=np.int64)
     best_x = x.copy()
-    for c, weight in enumerate(weights):
-        v = base + c
+    for c, (v, weight) in enumerate(zip(succ, weights)):
         value = x[v]
         value += q * weight - p
         lower = (value < best_x) & (p[v] == p) & (q[v] == q)
@@ -459,12 +518,16 @@ def zk(k):
     """Minimum over t of (C(t,2) + C(k-t+1,2)) / t, with the minimizing t.
 
     This is the normalized weight of the cycle of t zeros followed by t ones,
-    minimized over ceil(k/2) <= t <= k+1; ties go to the smallest t.
+    minimized over ceil(k/2) <= t <= k+1; ties go to the smallest t.  The
+    value equals t - k - 1 + (k^2 + k)/(2t), which is strictly convex in
+    t > 0 with its least value at sqrt((k^2 + k)/2), so only the integers
+    on either side of that root can win.
     """
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
+    root = math.isqrt((k * k + k) // 2)
     best = None
-    for t in range((k + 1) // 2, k + 2):
+    for t in range(max(root, (k + 1) // 2), min(root + 1, k + 1) + 1):
         value = Fraction(math.comb(t, 2) + math.comb(k - t + 1, 2), t)
         if best is None or value < best.value:
             best = ZkValue(value, t)

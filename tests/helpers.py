@@ -211,6 +211,73 @@ def karp_min_cycle(k, t=2):
     return minimum, debruijn._least_rotation(symbols)
 
 
+def howard_full_reference(k, t, cnt):
+    """Test oracle: Howard policy iteration on the whole de Bruijn graph.
+
+    `debruijn._howard_min_mean` as it was before it ran on the quotient by
+    the symbol permutations: all t^k windows, with u's successor by symbol
+    c at u % t^(k-1) * t + c and the policies evaluated by
+    `debruijn._evaluate_policy`.  Returns the minimum cycle mean.
+    """
+    size = t ** k
+    shift = t ** (k - 1)
+    vertices = np.arange(size)
+    base = vertices % shift * t
+    # weights[c, u] = cnt[u // shift, base[u] + c]
+    weights = np.moveaxis(cnt.reshape(t, shift, t), 2, 0).reshape(t, size)
+    rounds = max(1, (size - 1).bit_length())
+    sym = np.argmin(weights, axis=0)
+    while True:
+        p, q, x = debruijn._evaluate_policy(base + sym,
+                                            weights[sym, vertices], rounds)
+        # a successor of strictly lower mean, ties to the lowest symbol
+        choice = np.zeros(size, dtype=np.int64)
+        best_p, best_q = p[base], q[base]
+        for c in range(1, t):
+            cp, cq = p[base + c], q[base + c]
+            lower = cp * best_q < best_p * cq
+            choice[lower] = c
+            best_p[lower] = cp[lower]
+            best_q[lower] = cq[lower]
+        move = best_p * q < p * best_q
+        if not move.any():
+            # else a same-mean successor of strictly lower potential
+            choice = np.zeros(size, dtype=np.int64)
+            best_x = x.copy()
+            for c, weight in enumerate(weights):
+                v = base + c
+                value = x[v] + q * weight - p
+                lower = (value < best_x) & (p[v] == p) & (q[v] == q)
+                choice[lower] = c
+                best_x[lower] = value[lower]
+            move = best_x < x
+        if not move.any():
+            return Fraction(int(p[0]), int(q[0]))
+        sym[move] = choice[move]
+
+
+def canonical_window_reference(code, k, t):
+    """Test oracle: the window's symbols renamed in order of first
+    appearance, as a code."""
+    names = {}
+    out = 0
+    for pos in range(k):
+        digit = code // t ** (k - 1 - pos) % t
+        out = out * t + names.setdefault(digit, len(names))
+    return out
+
+
+def zk_loop_reference(k):
+    """Test oracle: `debruijn.zk` as the loop over every run length
+    ceil(k/2) <= t <= k + 1, ties to the smallest t."""
+    best = None
+    for t in range((k + 1) // 2, k + 2):
+        value = Fraction(math.comb(t, 2) + math.comb(k - t + 1, 2), t)
+        if best is None or value < best[0]:
+            best = (value, t)
+    return best
+
+
 def extract_tight_cycle_reference(k, t, cnt, idx, mu):
     """Test oracle: a tight cycle by depth-first search over tight edges.
 

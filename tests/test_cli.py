@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -56,6 +57,12 @@ def test_ak(capsys):
 def test_zk_wk(capsys):
     code, out, _ = run(capsys, ["zk", "--k", "5"])
     assert code == 0 and "7/4" in out
+    # zk tries only the run lengths beside its real minimum
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["zk", "--k", "1000000000"])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (0, "z_1000000000 = 146446609471644371/353553391 "
+                              "(t = 707106782)\n")
     code, out, _ = run(capsys, ["wk", "--k", "2", "--s", "5"])
     assert code == 0 and "w_2(5) = 4" in out
 
@@ -175,8 +182,8 @@ def test_huge_parameters_exit_3(capsys, argv):
     assert err.startswith("budget exhausted: ") and "Traceback" not in err
     if argv[0] == "ak":
         assert err == ("budget exhausted: minimum-cycle DP needs 2^20000 "
-                       "vertices, over the budget of 16384; raise "
-                       "max_vertices to force the computation\n")
+                       "vertices, over the budget of 16384; a library call "
+                       "can raise it through its max_vertices argument\n")
 
 
 def test_bipartite_bound_skips_a_huge_k(capsys, tmp_path):

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import (edge_word_weight, extract_tight_cycle_reference,
-                     karp_min_cycle)
+from helpers import (canonical_window_reference, edge_word_weight,
+                     extract_tight_cycle_reference, howard_full_reference,
+                     karp_min_cycle, zk_loop_reference)
 
 from radiuskit import debruijn
 from radiuskit.debruijn import (DeBruijnGraph, ak, check_certificate,
@@ -131,6 +132,46 @@ def test_howard_reads_weights_without_a_table():
     assert peak < 1 << 20
 
 
+# Binary k <= 16, every 3 <= t <= 10 with t^k <= 6561, and large alphabets
+# at k = 1, 2.  (512, 2) is left out: the full graph's count table alone
+# is 512 x 512^2 int64 words, 1 GiB.
+QUOTIENT_CASES = [(k, 2) for k in range(1, 17)] + [
+    (k, t) for t in range(3, 11) for k in range(1, 9) if t ** k <= 6561] + [
+    (1, 64), (2, 64), (1, 100), (2, 100), (1, 512)]
+
+
+def test_howard_on_quotient_matches_full_graph():
+    assert len(QUOTIENT_CASES) == 16 + 38 + 5
+    for k, t in QUOTIENT_CASES:
+        cnt = debruijn._digit_counts(k, t)
+        assert (debruijn._howard_min_mean(k, t, cnt)
+                == howard_full_reference(k, t, cnt)), (k, t)
+
+
+def test_quotient_vertex_count():
+    # sum_{j <= t} S(k, j) canonical windows: 2^(k-1) when t = 2
+    for k, t, size in [(k, 2, 1 << (k - 1)) for k in range(1, 17)] + [
+            (8, 3, 1094), (6, 4, 187), (5, 5, 52)]:
+        codes, succ = debruijn._quotient_graph(k, t)
+        assert len(codes) == size and succ.shape == (t, size), (k, t)
+
+
+def test_quotient_successors_match_reference():
+    """Every canonical window, and every successor table entry, against a
+    renaming in first-appearance order of the full graph's windows."""
+    for k, t in [(k, 2) for k in range(1, 9)] + [
+            (3, 3), (5, 3), (4, 4), (3, 5), (2, 7), (1, 64), (2, 64)]:
+        shift = t ** (k - 1)
+        codes, succ = debruijn._quotient_graph(k, t)
+        canonical = sorted({canonical_window_reference(v, k, t)
+                            for v in range(t ** k)})
+        assert codes.tolist() == canonical, (k, t)
+        index = {v: i for i, v in enumerate(canonical)}
+        expected = [[index[canonical_window_reference(u % shift * t + c, k, t)]
+                     for u in canonical] for c in range(t)]
+        assert succ.tolist() == expected, (k, t)
+
+
 def test_tight_cycle_matches_dfs_reference():
     """The witness walk closes the cycle the depth-first search closes, with
     the same distances, on binary k <= 12 and every 3 <= t <= 64 with
@@ -203,6 +244,11 @@ def test_zk_values():
     assert zk(2) == (Fraction(1, 2), 2)
     assert zk(4) == (Fraction(4, 3), 3)
     assert zk(5) == (Fraction(7, 4), 4)
+
+
+def test_zk_matches_loop_reference():
+    for k in range(1, 2001):
+        assert tuple(zk(k)) == zk_loop_reference(k), k
 
 
 def test_zk_matches_explicit_cycle():
