@@ -235,8 +235,7 @@ def _cmd_maxcut(args, out):
         record["brute"] = brute
         lines.append(f"brute force = {brute}")
         if brute != value:
-            out.emit(record, lines)
-            raise InputError(
+            raise VerificationError(
                 f"identity mismatch: {value} != brute {brute}")
     out.emit(record, lines)
     return 0

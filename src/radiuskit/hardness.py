@@ -11,12 +11,25 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import (InputError, InvalidParameterError, VerificationError,
-                     WitnessError)
+import numpy as np
+
+from .errors import (BudgetError, InputError, InvalidParameterError,
+                     VerificationError, WitnessError)
 from .graphs import (Graph, attach_pendants, edge_label, line_graph,
                      pendant_label)
 from .radius import (CoverSequence, VertexSequence, require_valid,
                      verify_cover, verify_radius)
+
+# Cap on the edges of either reduction's target, checked in closed form
+# before anything is built.  It admits C30 at k = 21 (3,990,420 edges),
+# where checking a witness builds about 44 M pair codes (about 350 MB).
+MAX_TARGET_EDGES = 1 << 22
+
+
+def _check_target_budget(edges):
+    if edges > MAX_TARGET_EDGES:
+        raise BudgetError(f"target would have {edges} edges, above the cap "
+                          f"of {MAX_TARGET_EDGES}")
 
 
 @dataclass(frozen=True)
@@ -71,15 +84,16 @@ def check_cubic_triangle_free(g):
 def reduce_hampath_to_radius(f, k):
     """Build the line graph of f with k-2 pendants per vertex, plus threshold.
 
-    The target has (k+1)k n/2 edges and the decision threshold is
-    2 e(target)/(k+1) + 1 = k n + 1.
+    The target has (k+1)k n/2 edges, at most MAX_TARGET_EDGES (BudgetError
+    otherwise), and the decision threshold is 2 e(target)/(k+1) + 1 = k n + 1.
     """
     if k < 2:
         raise InvalidParameterError(f"reduction needs k >= 2, got {k}")
     check_cubic_triangle_free(f)
-    target = line_graph(attach_pendants(f, k - 2))
     n = f.num_vertices
     expected_edges = (k + 1) * k * n // 2
+    _check_target_budget(expected_edges)
+    target = line_graph(attach_pendants(f, k - 2))
     threshold = 2 * target.num_edges // (k + 1) + 1
     if target.num_edges != expected_edges or threshold != k * n + 1:
         raise VerificationError(f"gadget has {target.num_edges} edges, "
@@ -151,52 +165,43 @@ def hampath_witness_to_sequence(inst, path_vertices):
     return seq
 
 
-def _gadget_clique(u, v, k):
-    a, b = sorted((u, v))
-    return [f"x[{a},{b}]^{i}" for i in range(1, k + 1)]
-
-
-def _gadget_fans(u, v, fan_size):
-    a, b = sorted((u, v))
-    return [f"y[{a},{b}]^{i}" for i in range(1, fan_size - 1)]
-
-
 def reduce_cover1_to_coverk(h, k):
     """Replace every source edge uv by a gadget: a k-clique joined to u, v
     and N-2 private fan vertices, with N = C(k,2)(m-1) + C(k+1,2) + 3.
-    A gadget label that repeats another vertex label raises InputError."""
+    The target's vertices are h's, then each gadget's clique x[a,b]^i and
+    fans y[a,b]^i (a < b its ends) in `h.edges` order.  A label repeating
+    an earlier one raises InputError, and a target of more than
+    MAX_TARGET_EDGES edges BudgetError."""
     if k < 2:
         raise InvalidParameterError(f"reduction needs k >= 2, got {k}")
     if h.num_edges < 1:
         raise InvalidParameterError("source graph needs at least one edge")
     if not h.is_connected():
         raise InputError("source graph must be connected")
-    m = h.num_edges
+    m, n = h.num_edges, h.num_vertices
     fan = math.comb(k, 2) * (m - 1) + math.comb(k + 1, 2) + 3
-    vertices = list(h.vertices)
-    edges = []
-    for u, v in h.edges:
-        clique = _gadget_clique(u, v, k)
-        fans = _gadget_fans(u, v, fan)
-        vertices.extend(clique)
-        vertices.extend(fans)
-        edges.extend((clique[i], clique[j])
-                     for i in range(k) for j in range(i + 1, k))
-        for x in clique:
-            edges.append((x, u))
-            edges.append((x, v))
-            edges.extend((x, y) for y in fans)
-    # distinct labels give distinct, valid gadget edges, so a repeated edge
-    # or fewer vertices than labels means that two labels coincide
-    try:
-        target = Graph(vertices, edges)
-    except InputError:
-        target = None
-    if target is None or target.num_vertices != len(vertices):
-        seen = set()
-        label = next(v for v in vertices if v in seen or seen.add(v))
-        raise InputError(f"gadget label {label!r} collides with a vertex")
     expected = m * (math.comb(k, 2) + fan * k)
+    _check_target_budget(expected)
+    labels = list(h.vertices)
+    for a, b in map(sorted, h.edges):
+        labels += (f"x[{a},{b}]^{i}" for i in range(1, k + 1))
+        labels += (f"y[{a},{b}]^{i}" for i in range(1, fan - 1))
+    index = {v: i for i, v in enumerate(labels)}
+    if len(index) != len(labels):
+        seen = set()
+        label = next(v for v in labels if v in seen or seen.add(v))
+        raise InputError(f"gadget label {label!r} collides with a vertex")
+    # One gadget's edges, numbered 0, 1 for its source edge's ends, 2..k+1
+    # for its clique and on for its fans: the clique's pairs, then each
+    # clique vertex's edges to both ends and to every fan.  Gadget labels
+    # add no whitespace or '#' to the source's valid labels.
+    pairs = np.column_stack(np.triu_indices(k, 1)) + 2
+    spokes = np.column_stack((np.arange(2, k + 2).repeat(fan),
+                              np.tile(np.r_[0, 1, k + 2:k + fan], k)))
+    size = k + fan - 2  # vertices per gadget
+    at = np.column_stack((h.ends, np.arange(n, n + m * size).reshape(m, size)))
+    local = np.concatenate((pairs, spokes)).ravel()
+    target = Graph._from_index(index, at[:, local].reshape(-1, 2))
     if target.num_edges != expected:
         raise VerificationError(
             f"gadget edge count {target.num_edges} != {expected}")
@@ -246,6 +251,10 @@ def cover1_witness_to_coverk(inst, one_cover):
     else:
         walk = sorted(edges[0])
 
+    # each edge's gadget, its clique then its fans, in the target's vertices
+    labels, size = inst.target.vertices, k + fan - 2
+    gadget = {frozenset(e): labels[at:at + size] for e, at in
+              zip(h.edges, range(h.num_vertices, len(labels), size))}
     sets = []
     for i, e in enumerate(edges):
         enter_v, exit_v = walk[i], walk[i + 1]
@@ -253,20 +262,16 @@ def cover1_witness_to_coverk(inst, one_cover):
             raise WitnessError(
                 f"1-cover pivots on {enter_v!r} at step {i + 1}; the "
                 f"edge walk must pass through each edge", position=i)
-        u, v = tuple(e)
-        clique = _gadget_clique(u, v, k)
-        fans = _gadget_fans(u, v, fan)
-        block = [frozenset(clique) | {enter_v}]
-        block.extend(frozenset(clique) | {y} for y in fans)
-        block.append(frozenset(clique) | {exit_v})
-        sets.extend(block)
+        clique = gadget[e][:k]
+        resident = frozenset(clique)
+        sets.append(resident | {enter_v})
+        sets.extend(resident | {y} for y in gadget[e][k:])
+        sets.append(resident | {exit_v})
         if i < m - 1:
-            nu, nv = tuple(edges[i + 1])
-            new_clique = _gadget_clique(nu, nv, k)
-            current = set(clique) | {exit_v}
-            for j in range(k - 1):
-                current.remove(clique[j])
-                current.add(new_clique[j])
+            current = set(resident) | {exit_v}
+            for old, new in zip(clique, gadget[edges[i + 1]][:k - 1]):
+                current.remove(old)
+                current.add(new)
                 sets.append(frozenset(current))
     if len(sets) != inst.target_length:
         raise VerificationError(f"transformed witness has length "

@@ -11,13 +11,14 @@ import numpy as np
 
 from radiuskit import debruijn
 from radiuskit.errors import (InputError, InvalidParameterError, ParseError,
-                              VerificationError)
+                              VerificationError, WitnessError)
 from radiuskit.exact import (OPTIMAL, UNKNOWN, ExactResult, SearchBudget,
                              _Exhausted, _SearchState)
 from radiuskit.graphs import Graph, edge_label, line_graph
+from radiuskit.hardness import CoverReductionInstance, _check_one_cover
 from radiuskit.radius import (CYCLIC, LINEAR, CoverSequence, VertexSequence,
-                              bounds, check_cover_structure, verify_cover,
-                              verify_radius)
+                              bounds, check_cover_structure, require_valid,
+                              verify_cover, verify_radius)
 
 
 def random_graph(rng, n, edge_prob=0.5):
@@ -901,3 +902,99 @@ def exact_maxcut_reference(g):
             cut += ((codes >> np.uint32(u)) ^ (codes >> np.uint32(v))) & 1
         best = max(best, int(cut.max()))
     return best
+
+
+def _gadget_clique_reference(u, v, k):
+    a, b = sorted((u, v))
+    return [f"x[{a},{b}]^{i}" for i in range(1, k + 1)]
+
+
+def _gadget_fans_reference(u, v, fan_size):
+    a, b = sorted((u, v))
+    return [f"y[{a},{b}]^{i}" for i in range(1, fan_size - 1)]
+
+
+def reduce_cover1_to_coverk_reference(h, k):
+    """`hardness.reduce_cover1_to_coverk` as it was before it built its
+    target from vertex indices: gadget labels and label-pair edges sent
+    through `Graph`, a collision found by catching its InputError or
+    counting fewer vertices than labels."""
+    if k < 2:
+        raise InvalidParameterError(f"reduction needs k >= 2, got {k}")
+    if h.num_edges < 1:
+        raise InvalidParameterError("source graph needs at least one edge")
+    if not h.is_connected():
+        raise InputError("source graph must be connected")
+    m = h.num_edges
+    fan = math.comb(k, 2) * (m - 1) + math.comb(k + 1, 2) + 3
+    vertices = list(h.vertices)
+    edges = []
+    for u, v in h.edges:
+        clique = _gadget_clique_reference(u, v, k)
+        fans = _gadget_fans_reference(u, v, fan)
+        vertices.extend(clique)
+        vertices.extend(fans)
+        edges.extend((clique[i], clique[j])
+                     for i in range(k) for j in range(i + 1, k))
+        for x in clique:
+            edges.append((x, u))
+            edges.append((x, v))
+            edges.extend((x, y) for y in fans)
+    try:
+        target = Graph(vertices, edges)
+    except InputError:
+        target = None
+    if target is None or target.num_vertices != len(vertices):
+        seen = set()
+        label = next(v for v in vertices if v in seen or seen.add(v))
+        raise InputError(f"gadget label {label!r} collides with a vertex")
+    expected = m * (math.comb(k, 2) + fan * k)
+    if target.num_edges != expected:
+        raise VerificationError(
+            f"gadget edge count {target.num_edges} != {expected}")
+    return CoverReductionInstance(source=h, k=k, fan_size=fan, target=target,
+                                  target_length=m * fan + (m - 1) * (k - 1))
+
+
+def cover1_witness_to_coverk_reference(inst, one_cover):
+    """`hardness.cover1_witness_to_coverk` as it was before it read the
+    gadgets off the target's vertices: each gadget's labels regenerated
+    from its edge's ends."""
+    h, k, fan = inst.source, inst.k, inst.fan_size
+    edges = _check_one_cover(h, one_cover)
+    m = len(edges)
+    walk = [min(a & b) for a, b in zip(edges, edges[1:])]
+    if walk:
+        walk = [min(edges[0] - {walk[0]}), *walk,
+                min(edges[-1] - {walk[-1]})]
+    else:
+        walk = sorted(edges[0])
+    sets = []
+    for i, e in enumerate(edges):
+        enter_v, exit_v = walk[i], walk[i + 1]
+        if enter_v == exit_v:
+            raise WitnessError(
+                f"1-cover pivots on {enter_v!r} at step {i + 1}; the "
+                f"edge walk must pass through each edge", position=i)
+        u, v = tuple(e)
+        clique = _gadget_clique_reference(u, v, k)
+        fans = _gadget_fans_reference(u, v, fan)
+        block = [frozenset(clique) | {enter_v}]
+        block.extend(frozenset(clique) | {y} for y in fans)
+        block.append(frozenset(clique) | {exit_v})
+        sets.extend(block)
+        if i < m - 1:
+            nu, nv = tuple(edges[i + 1])
+            new_clique = _gadget_clique_reference(nu, nv, k)
+            current = set(clique) | {exit_v}
+            for j in range(k - 1):
+                current.remove(clique[j])
+                current.add(new_clique[j])
+                sets.append(frozenset(current))
+    if len(sets) != inst.target_length:
+        raise VerificationError(f"transformed witness has length "
+                                f"{len(sets)}, expected {inst.target_length}")
+    cov = CoverSequence(inst.target, k, tuple(sets))
+    require_valid(verify_cover(cov),
+                  f"transformed witness of length {len(sets)}")
+    return cov

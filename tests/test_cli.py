@@ -358,6 +358,17 @@ def test_maxcut_circulant(capsys):
     assert code == 0 and out == "mc = 225\n"
 
 
+def test_maxcut_brute_check_mismatch_exit(capsys, monkeypatch):
+    true_value = radius.maxcut_circulant
+    monkeypatch.setattr(radius, "maxcut_circulant",
+                        lambda n, k: true_value(n, k) + 1)
+    code, out, err = run(capsys, ["maxcut", "circulant", "--n", "8", "--k",
+                                  "2", "--brute-check"])
+    assert code == 4 and out == ""
+    assert err.startswith("internal error: result failed verification")
+    assert "13 != brute 12" in err and "Traceback" not in err
+
+
 def test_reduce_with_witness(capsys, tmp_path):
     graph_file = tmp_path / "k33.edges"
     graph_file.write_text(serialize_graph(complete_bipartite(3, 3)))
@@ -507,6 +518,24 @@ def test_reduce_refuses_gadget_label_collisions(capsys, tmp_path, text,
                                   "--graph", str(graph_file)])
     assert (code, out) == (1, "")
     assert err == f"error: gadget label {label!r} collides with a vertex\n"
+
+
+@pytest.mark.parametrize("kind, k, graph", [
+    ("cover1-coverk", "100", "".join(f"v{i} v{i % 30 + 1}\n"
+                                     for i in range(1, 31))),
+    ("ham-radius", "100000", serialize_graph(complete_bipartite(3, 3)))])
+def test_reduce_budget_exit(capsys, tmp_path, kind, k, graph):
+    # both targets hold hundreds of millions of edges or more: refused
+    # from the closed-form count, before anything is built
+    graph_file = tmp_path / "h.edges"
+    graph_file.write_text(graph)
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["reduce", kind, "--k", k,
+                                  "--graph", str(graph_file)])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err.startswith("budget exhausted: target would have ")
+    assert "Traceback" not in err
 
 
 def test_conjecture(capsys):

@@ -10,18 +10,22 @@ import math
 import random
 
 import pytest
-from helpers import find_one_cover, loss_count_reference
+from helpers import (cover1_witness_to_coverk_reference, find_one_cover,
+                     loss_count_reference, reduce_cover1_to_coverk_reference)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radiuskit.errors import InputError, InvalidParameterError, WitnessError
+from radiuskit.errors import (BudgetError, InputError, InvalidParameterError,
+                              WitnessError)
 from radiuskit.exact import exact_ck
-from radiuskit.graphs import Graph, complete, complete_bipartite, cycle, path
-from radiuskit.hardness import (cover1_witness_to_coverk,
+from radiuskit.graphs import (Graph, complete, complete_bipartite, cycle, path,
+                              serialize_graph)
+from radiuskit.hardness import (MAX_TARGET_EDGES, cover1_witness_to_coverk,
                                 hampath_witness_to_sequence, instance_metadata,
                                 reduce_cover1_to_coverk,
                                 reduce_hampath_to_radius, serialize_metadata)
-from radiuskit.radius import CoverSequence, verify_cover, verify_radius
+from radiuskit.radius import (CoverSequence, serialize_cover_sequence,
+                              verify_cover, verify_radius)
 
 HAM_PATH_K33 = ["x1", "y1", "x2", "y2", "x3", "y3"]
 
@@ -92,6 +96,78 @@ def test_reduce_cover_refuses_label_collisions(edges, label):
     with pytest.raises(InputError) as err:
         reduce_cover1_to_coverk(Graph((), edges), 2)
     assert str(err.value) == f"gadget label {label!r} collides with a vertex"
+    with pytest.raises(InputError) as ref:
+        reduce_cover1_to_coverk_reference(Graph((), edges), 2)
+    assert str(err.value) == str(ref.value)
+
+
+def _transformed(transform, inst, one_cover):
+    """The serialized witness, or the WitnessError's text and position."""
+    try:
+        return serialize_cover_sequence(transform(inst, one_cover))
+    except WitnessError as exc:
+        return str(exc), exc.position
+
+
+def _random_sources(count, seed):
+    """Connected graphs on 2..7 vertices with shuffled labels and edges."""
+    rng = random.Random(seed)
+    names = ["a", "b10", "b9", "u", "u,v", "v1", "x0", "z"]
+    while count:
+        n = rng.randint(2, 7)
+        labels = rng.sample(names, n)
+        pairs = [(labels[i], labels[j]) for i in range(n)
+                 for j in range(i + 1, n) if rng.random() < 0.5]
+        rng.shuffle(pairs)
+        pairs = [p[::-1] if rng.random() < 0.5 else p for p in pairs]
+        if not pairs:
+            continue
+        h = Graph((), pairs)
+        if h.is_connected():
+            count -= 1
+            yield h
+
+
+@pytest.mark.parametrize("family", [
+    [cycle(n) for n in range(3, 31)],
+    [path(n) for n in range(2, 10)],
+    [complete(3), complete(4), complete(5), complete_bipartite(2, 3)],
+    list(_random_sources(25, seed=24))], ids=["cycles", "paths", "dense",
+                                             "random"])
+def test_reduce_cover_matches_label_reference(family):
+    for h in family:
+        one_cover = find_one_cover(h)
+        for k in (2, 3, 4):
+            inst = reduce_cover1_to_coverk(h, k)
+            ref = reduce_cover1_to_coverk_reference(h, k)
+            assert inst.target.vertices == ref.target.vertices
+            assert serialize_graph(inst.target) == serialize_graph(ref.target)
+            assert serialize_metadata(inst) == serialize_metadata(ref)
+            if one_cover is not None:
+                assert _transformed(cover1_witness_to_coverk, inst,
+                                    one_cover) == _transformed(
+                    cover1_witness_to_coverk_reference, ref, one_cover)
+
+
+@pytest.mark.parametrize("reduce, source, k, edges", [
+    # C30 at k = 100: 30 (C(100,2) + 148,603 * 100) edges
+    (reduce_cover1_to_coverk, cycle(30), 100, 445_957_500),
+    # the least k over the cap on C30: 30 (C(22,2) + 6,955 * 22) edges
+    (reduce_cover1_to_coverk, cycle(30), 22, 4_597_230),
+    (reduce_hampath_to_radius, complete_bipartite(3, 3), 100_000,
+     100_001 * 100_000 * 3)])
+def test_reductions_refuse_targets_over_the_cap(reduce, source, k, edges):
+    with pytest.raises(BudgetError) as err:
+        reduce(source, k)
+    assert str(err.value) == (f"target would have {edges} edges, above the "
+                              f"cap of {MAX_TARGET_EDGES}")
+
+
+def test_reduction_budget_follows_source_checks():
+    with pytest.raises(InputError, match="connected"):
+        reduce_cover1_to_coverk(Graph((), [("a", "b"), ("c", "d")]), 100)
+    with pytest.raises(InputError, match="cubic"):
+        reduce_hampath_to_radius(cycle(5), 100_000)
 
 
 def test_gadget_edge_counts():
