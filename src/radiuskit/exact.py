@@ -245,12 +245,20 @@ def exact_fk(g, k, mode=LINEAR, budget=None):
     if mode not in (LINEAR, CYCLIC):
         raise InvalidParameterError(f"unknown mode {mode!r}")
     budget = budget or SearchBudget()
+    state = _SearchState(budget)
     report = bounds(g, k)
     cyclic = mode == CYCLIC
     # the non-isolated vertices get the indices 0..n-1 in g.vertices order
     active = np.bincount(g.ends.ravel(), minlength=g.num_vertices) > 0
+    n = int(np.count_nonzero(active))
+    num_edges = g.num_edges
+    lower = max(report.fk_lower, n, 1)
+    if cyclic:
+        lower = max(math.ceil(num_edges / k), report.fk_lower - k, n, 1)
+    if lower > budget.max_length:  # before the n x n table below
+        return state.result(UNKNOWN, None, None, lower, None,
+                            stop="max_length")
     labels = [v for v, on in zip(g.vertices, active.tolist()) if on]
-    n = len(labels)
     vertices = range(n)
     pairbit = [[0] * n for _ in vertices]
     nbrs = [[] for _ in vertices]
@@ -260,15 +268,9 @@ def exact_fk(g, k, mode=LINEAR, budget=None):
         nbrs[j].append(i)
     no_pairs = [0] * n
     edges_at = [sum(row) for row in pairbit]  # edges_at[v]: v's edge bits
-    num_edges = g.num_edges
     full_mask = (1 << num_edges) - 1
-
-    lower = max(report.fk_lower, n, 1)
-    if cyclic:
-        lower = max(math.ceil(num_edges / k), report.fk_lower - k, n, 1)
     wrap_bonus = k * (k + 1) // 2 if cyclic else 0
 
-    state = _SearchState(budget)
     tick = state.tick
     memo = {}
     tries = {}  # distinct prefix vertices as bits -> the vertices to try
@@ -386,9 +388,11 @@ def exact_ck(g, k, budget=None):
     On a budget stop the interval is still proven.  Each exhausted
     threshold refutes every cover of at most L sets, and the next L is
     the least pruned g + h, so every cover has at least L sets (the first
-    L is least over the start sets, so it holds from the start).  Only
-    covers of at most max_length sets are searched, so the optimum is at
-    least min(L, max_length + 1) + k reads, and at least the edge bound.
+    L is least over the start sets, so it holds from the start, and L = 1
+    while they are built).  Only covers of at most max_length sets are
+    searched, so the optimum is at least min(L, max_length + 1) + k reads,
+    and at least the edge bound.  Each start set built and each state
+    popped is a node of the budget.
     """
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
@@ -414,22 +418,23 @@ def exact_ck(g, k, budget=None):
     num_edges = g.num_edges
     full_mask = (1 << num_edges) - 1
 
-    starts = []  # (h1, h, key, live) per start set, in push order
-    for combo in itertools.combinations(range(n), k + 1):
-        cache = sum(1 << i for i in combo)
-        covered = 0
-        for i in combo:
-            for wbit, ebit, _ in incident[i]:
-                if cache & wbit:
-                    covered |= ebit
-        # live: the vertices with an uncovered edge, as bits
-        live = sum(1 << v for v in range(n) if edges_at[v] & ~covered)
-        h1 = -(-(num_edges - covered.bit_count()) // k)
-        h2 = (live & ~cache).bit_count()
-        starts.append((h1, max(h1, h2), (cache, covered), live))
-
-    limit = 1 + min(start[1] for start in starts)  # L
+    limit = 1  # L: every cover has at least one set
     try:
+        starts = []  # (h1, h, key, live) per start set, in push order
+        for combo in itertools.combinations(range(n), k + 1):
+            state.tick()
+            cache = sum(1 << i for i in combo)
+            covered = 0
+            for i in combo:
+                for wbit, ebit, _ in incident[i]:
+                    if cache & wbit:
+                        covered |= ebit
+            # live: the vertices with an uncovered edge, as bits
+            live = sum(1 << v for v in range(n) if edges_at[v] & ~covered)
+            h1 = -(-(num_edges - covered.bit_count()) // k)
+            h2 = (live & ~cache).bit_count()
+            starts.append((h1, max(h1, h2), (cache, covered), live))
+        limit = 1 + min(start[1] for start in starts)
         while limit <= budget.max_length:
             heap = []
             # key -> (least path length found, parent key on that path)

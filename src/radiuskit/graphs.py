@@ -36,6 +36,14 @@ def _token_line(text, position):
                 if total > position)
 
 
+def _pair_codes(u, v, size, out=None):
+    """One int64 min(u, v) * size + max(u, v) per index pair, size < 3e9."""
+    out = np.minimum(u, v, out=out)
+    out *= size
+    out += np.maximum(u, v)
+    return out
+
+
 def _index_edges(vertices, labels):
     """The index core of the graph on `vertices` and the edges
     labels[0] labels[1], labels[2] labels[3], ... (`labels` a list).
@@ -51,8 +59,7 @@ def _index_edges(vertices, labels):
     ends = np.fromiter(map(index.__getitem__, labels), dtype=np.int64,
                        count=len(labels)).reshape(-1, 2)
     u, v = ends[:, 0], ends[:, 1]
-    codes = np.minimum(u, v) * len(index)  # min*V + max: one int per pair
-    codes += np.maximum(u, v)
+    codes = _pair_codes(u, v, len(index))
     runs = np.sort(codes)
     if not (np.count_nonzero(u == v)
             or np.count_nonzero(runs[1:] == runs[:-1])):
@@ -75,7 +82,7 @@ class Graph:
     Its core, built once and not to be modified, is the label tuple
     `vertices`, `index` (label -> position in `vertices`) and `ends`, the
     read-only (E, 2) int64 array of endpoint indices in edge order.  The
-    label edge tuple and the sorted neighbour tuples are built from `ends`
+    label edge tuple and the integer neighbour lists are built from `ends`
     on first use.
     """
 
@@ -122,45 +129,43 @@ class Graph:
         return len(self.ends)
 
     def has_edge(self, u, v):
-        return v in self._adjacency().get(u, ())
+        nbrs = self._adjacency()[self.index[u]] if u in self.index else ()
+        return self.index.get(v) in nbrs
 
     def edge_set(self):
         """The edges as a frozenset of 2-element frozensets, built per call."""
         return frozenset(map(frozenset, self.edges))
 
     def _adjacency(self):
-        """Label -> sorted neighbour labels, built on first use."""
+        """Per vertex, its neighbour indices in no set order (a stable
+        argsort costs 5x on shuffled edges); built on first use."""
         if self._adj is None:
-            vs = self.vertices
-            nbrs = [[] for _ in vs]
-            for a, b in self.ends.tolist():
-                nbrs[a].append(vs[b])
-                nbrs[b].append(vs[a])
-            self._adj = {v: tuple(sorted(ns)) for v, ns in zip(vs, nbrs)}
+            tails = self.ends.ravel()
+            heads = self.ends[:, ::-1].ravel()[tails.argsort()]
+            cut = np.cumsum(np.bincount(tails, minlength=self.num_vertices))
+            heads, cut = heads.tolist(), cut.tolist()
+            self._adj = [heads[a:b] for a, b in zip([0, *cut], cut)]
         return self._adj
 
     def neighbors(self, v):
         if v not in self.index:
             raise InputError(f"unknown vertex {v!r}")
-        return self._adjacency()[v]
+        at = self.vertices.__getitem__
+        return tuple(sorted(map(at, self._adjacency()[self.index[v]])))
 
     def degree(self, v):
         return len(self.neighbors(v))
 
     def _bfs_forest(self):
-        """Breadth-first search from each unreached vertex in turn, on
-        integer neighbour lists grouped from `ends` by one argsort.
+        """Breadth-first search from each unreached vertex in turn.
 
         Returns (parity, trees): parity[v] is 0 or 1 with v's depth in its
         tree, and trees counts the roots searched from.
         """
-        size = self.num_vertices
-        tails = self.ends.ravel()
-        heads = self.ends[:, ::-1].ravel()[tails.argsort()].tolist()
-        start = [0, *np.cumsum(np.bincount(tails, minlength=size)).tolist()]
-        parity = [-1] * size
+        nbrs = self._adjacency()
+        parity = [-1] * len(nbrs)
         trees = 0
-        for root in range(size):
+        for root in range(len(nbrs)):
             if parity[root] >= 0:
                 continue
             trees += 1
@@ -168,7 +173,7 @@ class Graph:
             queue = [root]
             for u in queue:  # grows while it is walked
                 side = 1 - parity[u]
-                for w in heads[start[u]:start[u + 1]]:
+                for w in nbrs[u]:
                     if parity[w] < 0:
                         parity[w] = side
                         queue.append(w)

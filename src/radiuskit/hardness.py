@@ -69,15 +69,15 @@ class CoverReductionInstance:
 
 def check_cubic_triangle_free(g):
     """Raise InputError naming a witness vertex or triangle on violation."""
-    for v in g.vertices:
-        if g.degree(v) != 3:
+    nbrs = {v: g.neighbors(v) for v in g.vertices}  # each sorted once
+    for v, ns in nbrs.items():
+        if len(ns) != 3:
             raise InputError(
-                f"vertex {v!r} has degree {g.degree(v)}, graph must be cubic")
+                f"vertex {v!r} has degree {len(ns)}, graph must be cubic")
     for u, v in g.edges:
-        common = set(g.neighbors(u)) & set(g.neighbors(v))
+        common = set(nbrs[u]).intersection(nbrs[v])
         if common:
-            w = sorted(common)[0]
-            raise InputError(f"triangle {u!r} {v!r} {w!r} found, "
+            raise InputError(f"triangle {u!r} {v!r} {min(common)!r} found, "
                              f"graph must be triangle-free")
 
 

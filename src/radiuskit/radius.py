@@ -21,7 +21,8 @@ from . import binseq, debruijn
 from .binseq import CYCLIC, LINEAR
 from .errors import (BudgetError, InputError, InvalidParameterError,
                      ParseError, StructureError, VerificationError)
-from .graphs import Graph, _token_line, _uncommented, complete_bipartite
+from .graphs import (Graph, _pair_codes, _token_line, _uncommented,
+                     complete_bipartite)
 
 
 @dataclass(frozen=True)
@@ -97,32 +98,23 @@ _EDGE_BLOCK = 1 << 20
 def _uncovered_edges(graph, pairs):
     """Sorted edges of graph that no (u, v) index-array pair in pairs covers.
 
-    A pair is coded min*V + max over V vertex indices, which fits int64 for
-    V < 3e9; a pair u == v codes no edge, since graphs have no self-loops.
-    The codes of every pair are written into one array, one (u, v) at a
-    time; the edges are looked up in blocks of `_EDGE_BLOCK`.
+    Every pair's `_pair_codes` go into one array (u == v codes no edge, as
+    graphs have no self-loops); edges are looked up in `_EDGE_BLOCK`s.
     """
     size = graph.num_vertices
-
-    def code(u, v, out=None):
-        out = np.minimum(u, v, out=out)
-        out *= size
-        out += np.maximum(u, v)
-        return out
-
     # the -1 sentinel lies below every code, so each edge code finds the
     # largest covered code not above it
     covered = np.empty(1 + sum(len(u) for u, _ in pairs), dtype=np.int64)
     covered[0] = -1
     start = 1
     for u, v in pairs:
-        code(u, v, out=covered[start:start + len(u)])
+        _pair_codes(u, v, size, out=covered[start:start + len(u)])
         start += len(u)
     covered.sort()
     missing = []
     for lo in range(0, graph.num_edges, _EDGE_BLOCK):
         ends = graph.ends[lo:lo + _EDGE_BLOCK]
-        edge_codes = code(ends[:, 0], ends[:, 1])
+        edge_codes = _pair_codes(ends[:, 0], ends[:, 1], size)
         found = covered[np.searchsorted(covered, edge_codes, side="right") - 1]
         missing += ends[found != edge_codes].tolist()
     vs = graph.vertices
@@ -145,28 +137,21 @@ def verify_radius(seq, k):
     return RadiusCheck(not uncovered, uncovered)
 
 
-def check_cover_structure(cov):
-    """Raise StructureError naming the 1-based index of any violation."""
-    for i, s in enumerate(cov.sets, start=1):
-        if len(s) != cov.k + 1:
-            raise StructureError(
-                f"has {len(s)} elements, expected {cov.k + 1}", index=i)
-    for i in range(1, len(cov.sets)):
-        a, b = cov.sets[i - 1], cov.sets[i]
-        if len(a - b) != 1 or len(b - a) != 1:
-            raise StructureError(
-                f"differs from its predecessor by {len(b - a)} elements, "
-                f"expected exactly 1", index=i + 1)
-
-
 def verify_cover(cov):
     """Check structure, then that every edge lies inside some set."""
-    check_cover_structure(cov)
-    index = cov.graph.index
     width = cov.k + 1
-    members = np.fromiter((index[x] for s in cov.sets for x in s),
-                          dtype=np.int64, count=len(cov.sets) * width)
-    members = members.reshape(len(cov.sets), width)
+    for i, s in enumerate(cov.sets, start=1):
+        if len(s) != width:
+            raise StructureError(
+                f"has {len(s)} elements, expected {width}", index=i)
+    members = np.fromiter(map(cov.graph.index.__getitem__,
+                              itertools.chain.from_iterable(cov.sets)),
+                          np.int64, len(cov.sets) * width).reshape(-1, width)
+    new = width - np.count_nonzero(  # the members not in the set before
+        members[:-1, :, None] == members[1:, None, :], axis=(1, 2))
+    for i in np.flatnonzero(new != 1)[:1].tolist():
+        raise StructureError(f"differs from its predecessor by {new[i]} "
+                             f"elements, expected exactly 1", index=i + 2)
     pairs = [(members[:, a], members[:, b])
              for a, b in itertools.combinations(range(width), 2)]
     uncovered = _uncovered_edges(cov.graph, pairs)
@@ -308,6 +293,15 @@ def _check_pair_budget(m, n):
         raise BudgetError(
             f"K_{{{m},{n}}} has {m * n} vertex pairs, above the cap of "
             f"{MAX_BIPARTITE_PAIRS}")
+
+
+# Cap on the estimated bytes of `cover_strategy_bipartite`, checked after
+# the pair cap and before anything is built, near the 1,574 MB README times
+# for `construct bipartite` at m = n = 5000.  A set takes about 256 B per
+# member (label frozensets) and 16 B per member pair (the pair code that
+# verify_cover builds and sorts): (k + 1)(256 + 8k) B, against 544 B
+# measured at k = 1, 1,553 at k = 4 and 3,910 at k = 16.
+MAX_COVER_BYTES = 1_600_000_000
 
 
 def construct_bipartite(m, n, k, epsilon_hint=0.5, seed=0):
@@ -458,6 +452,12 @@ def cover_strategy_bipartite(m, n, k):
         raise InvalidParameterError(
             f"need m + n > k + 1 (got {m}+{n} vs k={k})")
     _check_pair_budget(m, n)
+    most = n if m < k else -(-m // k) * (n + k)  # sets, at most
+    need = most * (k + 1) * (256 + 8 * k)
+    if need > MAX_COVER_BYTES:
+        raise BudgetError(
+            f"a {k}-cover of K_{{{m},{n}}} takes up to {most} sets, about "
+            f"{need} bytes, above the cap of {MAX_COVER_BYTES}")
     g = complete_bipartite(m, n)
     xs, ys = g.vertices[:m], g.vertices[m:]
 
@@ -511,19 +511,21 @@ def parse_vertex_sequence(text, graph, mode=LINEAR):
 def parse_cover_sequence(text, graph, k):
     """One set per line, labels space-separated."""
     rows = list(filter(None, map(str.split, _uncommented(text).splitlines())))
-    sets = tuple(map(frozenset, rows))
 
     def line(i):  # of row i, at the token position of its first label
         return _token_line(text, sum(map(len, rows[:i])))
 
-    if list(map(len, sets)) != list(map(len, rows)):
-        i = next(i for i, (s, row) in enumerate(zip(sets, rows))
-                 if len(s) != len(row))
-        raise ParseError("repeated label inside a set", line=line(i))
     try:  # the rows keep the file order, so an error names the first label
-        return CoverSequence(graph, k, rows)
-    except InputError as exc:
-        raise InputError(f"line {line(exc.position)}: {exc}") from None
+        cov = CoverSequence(graph, k, rows)
+        sets, unknown = cov.sets, None
+    except InputError as exc:  # reported after a repeated label, if any
+        sets, unknown = map(frozenset, rows), exc
+    for i, (s, row) in enumerate(zip(sets, rows)):
+        if len(s) != len(row):
+            raise ParseError("repeated label inside a set", line=line(i))
+    if unknown:
+        raise InputError(f"line {line(unknown.position)}: {unknown}")
+    return cov
 
 
 def serialize_cover_sequence(cov):

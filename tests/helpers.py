@@ -11,14 +11,14 @@ import numpy as np
 
 from radiuskit import debruijn
 from radiuskit.errors import (InputError, InvalidParameterError, ParseError,
-                              VerificationError, WitnessError)
+                              StructureError, VerificationError, WitnessError)
 from radiuskit.exact import (OPTIMAL, UNKNOWN, ExactResult, SearchBudget,
                              _Exhausted, _SearchState)
 from radiuskit.graphs import Graph, edge_label, line_graph
 from radiuskit.hardness import CoverReductionInstance, _check_one_cover
 from radiuskit.radius import (CYCLIC, LINEAR, CoverSequence, VertexSequence,
-                              bounds, check_cover_structure, require_valid,
-                              verify_cover, verify_radius)
+                              bounds, require_valid, verify_cover,
+                              verify_radius)
 
 
 def random_graph(rng, n, edge_prob=0.5):
@@ -728,6 +728,21 @@ def exact_ck_reference(g, k, budget=None):
         edge_bound = bounds(g, k).edge_bound
         lo = math.ceil(edge_bound) if edge_bound is not None else k + 1
         return ExactResult(UNKNOWN, None, None, lo, None)
+
+
+def check_cover_structure(cov):
+    """Test oracle: `verify_cover`'s structure check as it was on the label
+    sets.  Raise StructureError naming the 1-based index of any violation."""
+    for i, s in enumerate(cov.sets, start=1):
+        if len(s) != cov.k + 1:
+            raise StructureError(
+                f"has {len(s)} elements, expected {cov.k + 1}", index=i)
+    for i in range(1, len(cov.sets)):
+        a, b = cov.sets[i - 1], cov.sets[i]
+        if len(a - b) != 1 or len(b - a) != 1:
+            raise StructureError(
+                f"differs from its predecessor by {len(b - a)} elements, "
+                f"expected exactly 1", index=i + 1)
 
 
 def loss_count_reference(cov):

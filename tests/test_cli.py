@@ -171,7 +171,8 @@ def test_budget_exit(capsys):
     ["construct", "bipartite", "--m", "3", "--n", "3", "--k", "20000"],
     ["wk", "--k", "20000", "--s", "20001"],
     ["wk", "--k", "2", "--s", "4000000000"],
-    ["maxcut", "circulant", "--n", "4000000000", "--k", "2"]])
+    ["maxcut", "circulant", "--n", "4000000000", "--k", "2"],
+    ["construct", "cover-bipartite", "--m", "5000", "--n", "5000", "--k", "1"]])
 def test_huge_parameters_exit_3(capsys, argv):
     # past 4,300 digits t^k cannot be printed, and far past it not built
     tracemalloc.start()

@@ -451,3 +451,24 @@ def test_stop_reason_and_nodes():
     result = exact_fk(complete_bipartite(4, 4), 2,
                       budget=SearchBudget(time_limit=1e-9))
     assert result.stop == "time limit" and result.nodes == 4096
+
+
+def test_exact_ck_start_sets_count_against_the_budget():
+    # C30 has 593,775 start sets at k = 5; the first time check stops the
+    # enumeration, which proves only the edge bound 30/5 + 6/2 = 9 reads
+    result = exact_ck(cycle(30), 5, SearchBudget(time_limit=1e-9))
+    assert result.stop == "time limit" and result.nodes == 4096
+    assert (result.status, result.lower) == ("unknown", 9)
+
+
+def test_exact_fk_max_length_stop_skips_the_tables_budget():
+    # 3,000 vertices need 3,000 slots, past the default max_length of 64,
+    # so no n x n pair table is built
+    g = cycle(3000)
+    tracemalloc.start()
+    result = exact_fk(g, 2)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert (result.status, result.lower, result.stop, result.nodes) == (
+        "unknown", 3000, "max_length", 0)
+    assert peak < 1 << 20

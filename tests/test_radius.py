@@ -8,7 +8,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from helpers import construct_bipartite_reference, cover_strategy_reference
+from helpers import (check_cover_structure, construct_bipartite_reference,
+                     cover_strategy_reference)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -133,6 +134,54 @@ def test_verify_radius_property(case):
 def test_verify_radius_unknown_vertex():
     with pytest.raises(InputError):
         VertexSequence(complete(3), ("v1", "zz"))
+
+
+def _structure_fault(check, cov):
+    """(message, index) of the StructureError check(cov) raises, or None."""
+    try:
+        check(cov)
+    except StructureError as exc:
+        return str(exc), exc.index
+    return None
+
+
+def _random_cover_rows(rng, vertices, k):
+    """A list of label rows, mostly one swap apart, with the faults a cover
+    can have: wrong sizes, a row equal to its predecessor, a double swap
+    and a label repeated inside a row; 0, 1 or up to 11 rows."""
+    current = rng.sample(vertices, k + 1)
+    rows = []
+    for _ in range(rng.choice([0, 1, rng.randrange(2, 12)])):
+        outside = [v for v in vertices if v not in current]
+        fault = rng.choice(["swap"] * 6 + ["same", "double"] * 2
+                           + ["size", "label"])
+        if fault == "swap":
+            current = rng.sample(current, k) + rng.sample(outside, 1)
+        elif fault == "double" and len(outside) >= 2:
+            current = rng.sample(current, k - 1) + rng.sample(outside, 2)
+        elif fault == "size":
+            rows.append(rng.sample(vertices, rng.randrange(len(vertices))))
+            continue
+        elif fault == "label":  # collapses to a set of one member fewer
+            rows.append(current[1:] + current[-1:])
+            continue
+        rows.append(list(current))
+    return rows
+
+
+def test_verify_cover_structure_matches_label_reference():
+    # the index-matrix check against the label-set loops it replaced
+    rng = random.Random(25)
+    faults = set()
+    for _ in range(3000):
+        k = rng.randint(1, 4)
+        g = complete(rng.randint(k + 2, 9))
+        cov = CoverSequence(g, k, _random_cover_rows(rng, list(g.vertices),
+                                                     k))
+        expected = _structure_fault(check_cover_structure, cov)
+        assert _structure_fault(verify_cover, cov) == expected, cov.sets
+        faults.add(expected and expected[0].split()[2])
+    assert faults == {None, "has", "differs"}
 
 
 def test_verify_cover_examples():
@@ -393,6 +442,30 @@ def test_cover_strategy_reads_bound_sweep():
                 check = verify_cover(cov)
                 assert check.valid
                 assert check.reads <= m * n / k + 2 * (m + n) + k
+
+
+def test_cover_strategy_budget_bounds_the_sets(monkeypatch):
+    # the set count the budget charges is at least the sets built
+    monkeypatch.setattr(radius, "MAX_COVER_BYTES", -1)
+    for m, n, k in itertools.product(range(1, 9), range(1, 9), range(1, 6)):
+        if m + n > k + 1:
+            with pytest.raises(BudgetError) as err:
+                cover_strategy_bipartite(m, n, k)
+            charged = str(err.value).split(" takes up to ")[1].split()[0]
+            assert len(cover_strategy_reference(m, n, k)) <= int(charged)
+
+
+def test_cover_strategy_refuses_before_building_budget(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("built past the cover budget")
+
+    monkeypatch.setattr(radius, "complete_bipartite", unreachable)
+    with pytest.raises(BudgetError, match=(
+            r"a 1-cover of K_\{5000,5000\} takes up to 25005000 sets, "
+            r"about 13202640000 bytes, above the cap of 1600000000")):
+        cover_strategy_bipartite(5000, 5000, 1)
+    with pytest.raises(BudgetError, match="takes up to 5000 sets"):
+        cover_strategy_bipartite(5000, 5000, 5001)  # m < k: at most n sets
 
 
 def test_cover_strategy_matches_reference():
