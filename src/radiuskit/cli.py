@@ -197,15 +197,14 @@ def _cmd_exact(args, out):
                  [f"max cut = {value}"])
         return 0
     limits = {} if args.time_limit is None else {"time_limit": args.time_limit}
+    # both searches cap their memos, so the clock alone can bound them
+    budget = exact.SearchBudget(node_limit=sys.maxsize, **limits)
     if args.kind == "fk":
-        # exact fk's memo is capped, so the clock alone can bound it
-        budget = exact.SearchBudget(node_limit=sys.maxsize, **limits)
         mode = radius.CYCLIC if args.cyclic else radius.LINEAR
         result = exact.exact_fk(g, args.k, mode=mode, budget=budget)
         name = f"f_{args.k}" + ("^cyc" if args.cyclic else "")
     else:
-        # the A* table of exact ck grows with its nodes: it keeps the node cap
-        result = exact.exact_ck(g, args.k, budget=exact.SearchBudget(**limits))
+        result = exact.exact_ck(g, args.k, budget=budget)
         name = f"c_{args.k}"
     if not result.is_optimal:
         out.emit({"op": f"exact-{args.kind}", "k": args.k,

@@ -5,7 +5,6 @@ and an exceeded budget yields an `unknown` result carrying the proven
 interval, never a wrong answer.
 """
 
-import heapq
 import itertools
 import math
 import time
@@ -349,50 +348,31 @@ def exact_fk(g, k, mode=LINEAR, budget=None):
                             stop=exc.args[0])
 
 
-_UNSEEN = (math.inf, None)
-
-
 def exact_ck(g, k, budget=None):
-    """Minimum reads (length + k) of a k-cover sequence, by A* search.
+    """Minimum reads (length + k) of a k-cover sequence.
 
-    States are (current cache set, covered edges), both int bitmasks: cache
-    bit i is the i-th vertex in sorted label order, the order states are
-    generated and pushed in, and covered bit i is the i-th edge of
-    `g.edges`.  The heap orders states by (g + h1, g, push order), with
-    h1 = ceil(uncovered / k): each swap creates at most k new co-resident
-    pairs.  h2 counts the vertices outside the cache that still have an
-    uncovered edge: each must enter the cache, and a swap lets in one.
-    Both are admissible and consistent (each falls by at most 1 per
-    swap), and so is h = max(h1, h2).  A swap covers new edges only at the
-    entering vertex, so a child's h2 is its parent's count less the
-    entering vertex and plus the leaving one, if they are live; each heap
-    entry carries its live vertices as bits, updated at the entering
-    vertex and its neighbours only.
+    Iterative deepening over the number of sets L, depth-first as in
+    `exact_fk`.  A node is a cache set and its covered edges, as int
+    bitmasks: cache bit i is the i-th vertex in sorted label order, covered
+    bit i the i-th edge of `g.edges`.  For each L the start sets are taken
+    lazily in `itertools.combinations` order and each node's children in
+    (out, new) index order, swapping the member `out` for the non-member
+    `new`; each start set and child is a node of the budget.  L starts at
+    1 + max(ceil((E - C(k+1, 2)) / k), active - k - 1), as the first set
+    covers at most C(k+1, 2) edges, each later set at most k new ones and
+    one new vertex, and all `active` vertices with an edge must enter.  L
+    rises by 1, so the witness is the first cover of the optimal length in
+    (start set, out, new) order.
 
-    h only prunes; it never orders.  The search runs under a length
-    threshold L and skips every push with g + h > L, though the state
-    still enters the table.  The first L is the least 1 + h over the start
-    sets; when the heap empties with no goal, L rises to the least g + h
-    it pruned, and the search starts again.  This keeps the witness of
-    the unpruned A* on (g + h1, g, push order).  h is consistent, so a
-    pruned (state, g) has only pruned children at g + 1, and since h
-    depends on the state alone, every kept g of a state is less than
-    every pruned one.  So a table entry left by a pruned push only
-    rejects pushes that would be pruned too, and the pruned run pops a
-    subsequence of the unpruned run's pops, in the same order, with the
-    same least g and parent for every kept state.  Every state on the
-    path to the first goal that the unpruned run pops has g + h <= its
-    length L*, so once L = L* that goal is in the subsequence and is still
-    popped first; and no threshold below L* pops a goal, whose h is 0.
-
-    On a budget stop the interval is still proven.  Each exhausted
-    threshold refutes every cover of at most L sets, and the next L is
-    the least pruned g + h, so every cover has at least L sets (the first
-    L is least over the start sets, so it holds from the start, and L = 1
-    while they are built).  Only covers of at most max_length sets are
-    searched, so the optimum is at least min(L, max_length + 1) + k reads,
-    and at least the edge bound.  Each start set built and each state
-    popped is a node of the budget.
+    A node is cut when h1 = ceil(uncovered / k), or h2, the live vertices
+    (those with an uncovered edge) outside the cache, exceeds the sets
+    left: a swap covers at most k new edges and lets in one vertex.  A
+    capped memo maps (cache, covered) to the most sets left with which it
+    failed; a node's completions depend on its key and sets left alone.
+    The cuts and the memo drop only nodes with no completion, so they keep
+    the first cover.  On a budget stop every cover has at least L sets
+    (each exhausted L refutes all covers of at most L sets), so the optimum
+    is at least min(L, max_length + 1) + k reads, and the edge bound.
     """
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
@@ -405,102 +385,75 @@ def exact_ck(g, k, budget=None):
     state = _SearchState(budget)
     labels = sorted(g.vertices)
     index = {v: i for i, v in enumerate(labels)}
-    n = len(labels)
-    # incident[v]: (neighbour bit, edge bit, neighbour) per edge at v
-    incident = [[] for _ in range(n)]
-    edges_at = [0] * n  # edges_at[v]: the edge bits at v
+    vertices = range(len(labels))
+    incident = [[] for _ in vertices]  # (neighbour, edge bit) per edge at v
     for bit, (u, v) in enumerate(g.edges):
-        i, j = index[u], index[v]
-        incident[i].append((1 << j, 1 << bit, j))
-        incident[j].append((1 << i, 1 << bit, i))
-        edges_at[i] |= 1 << bit
-        edges_at[j] |= 1 << bit
+        incident[index[u]].append((index[v], 1 << bit))
+        incident[index[v]].append((index[u], 1 << bit))
+    edges_at = [sum(ebit for _, ebit in inc) for inc in incident]
+    # a swap covers edges only at the entering vertex, so only it and its
+    # neighbours can lose their last uncovered edge
+    around = [[v, *(w for w, _ in incident[v])] for v in vertices]
     num_edges = g.num_edges
     full_mask = (1 << num_edges) - 1
+    active = sum(1 << v for v in vertices if edges_at[v])
 
-    limit = 1  # L: every cover has at least one set
+    tick = state.tick
+    memo = {}
+    MEMO_CAP = 1 << 18
+
+    def dfs(cache, covered, live, left):
+        """The caches of the first cover from this node within `left` more
+        sets, last first, or None."""
+        tick()
+        if covered == full_mask:
+            return [cache]
+        if (num_edges - covered.bit_count() > left * k
+                or (live & ~cache).bit_count() > left
+                or memo.get((cache, covered), -1) >= left):
+            return None
+        others = [v for v in vertices if not cache >> v & 1]
+        for out in [v for v in vertices if cache >> v & 1]:
+            rest = cache ^ 1 << out
+            for new in others:
+                ncov = covered
+                for w, ebit in incident[new]:
+                    if rest >> w & 1:
+                        ncov |= ebit
+                nlive = live
+                if ncov != covered:
+                    nlive &= ~sum(1 << w for w in around[new]
+                                  if not edges_at[w] & ~ncov)
+                found = dfs(rest | 1 << new, ncov, nlive, left - 1)
+                if found:
+                    found.append(cache)
+                    return found
+        if len(memo) >= MEMO_CAP:
+            memo.clear()
+        memo[cache, covered] = left
+        return None
+
+    limit = 1 + max(0, -(-(num_edges - k * (k + 1) // 2) // k),
+                    active.bit_count() - k - 1)
     try:
-        starts = []  # (h1, h, key, live) per start set, in push order
-        for combo in itertools.combinations(range(n), k + 1):
-            state.tick()
-            cache = sum(1 << i for i in combo)
-            covered = 0
-            for i in combo:
-                for wbit, ebit, _ in incident[i]:
-                    if cache & wbit:
-                        covered |= ebit
-            # live: the vertices with an uncovered edge, as bits
-            live = sum(1 << v for v in range(n) if edges_at[v] & ~covered)
-            h1 = -(-(num_edges - covered.bit_count()) // k)
-            h2 = (live & ~cache).bit_count()
-            starts.append((h1, max(h1, h2), (cache, covered), live))
-        limit = 1 + min(start[1] for start in starts)
         while limit <= budget.max_length:
-            heap = []
-            # key -> (least path length found, parent key on that path)
-            table = {}
-            counter = itertools.count()
-            pruned = math.inf  # the least g + h pruned under this L
-            for h1, h, key, live in starts:
-                table[key] = (1, None)
-                if 1 + h > limit:
-                    pruned = min(pruned, 1 + h)
-                    continue
-                heapq.heappush(heap, (1 + h1, 1, next(counter), key, live))
-            while heap:
-                state.tick()
-                _, glen, _, key, live = heapq.heappop(heap)
-                if glen > table[key][0]:
-                    continue
-                cache, covered = key
-                if covered == full_mask:
-                    sets = []
-                    cur = key
-                    while cur is not None:
-                        sets.append(frozenset(labels[i] for i in range(n)
-                                              if cur[0] >> i & 1))
-                        cur = table[cur][1]
-                    sets.reverse()
-                    cov = CoverSequence(g, k, tuple(sets))
+            memo.clear()
+            for combo in itertools.combinations(vertices, k + 1):
+                cache = sum(1 << i for i in combo)
+                covered = sum(ebit for i in combo for w, ebit in incident[i]
+                              if w > i and cache >> w & 1)
+                live = active & ~sum(1 << i for i in combo
+                                     if not edges_at[i] & ~covered)
+                found = dfs(cache, covered, live, limit - 1)
+                if found:
+                    cov = CoverSequence(g, k, tuple(
+                        frozenset(labels[i] for i in vertices if c >> i & 1)
+                        for c in reversed(found)))
                     check = require_valid(verify_cover(cov),
                                           "exact_ck witness")
                     return state.result(OPTIMAL, check.reads, cov,
                                         check.reads, check.reads)
-                outside = (live & ~cache).bit_count()
-                ng = glen + 1
-                for out in range(n):
-                    if not cache >> out & 1:
-                        continue
-                    rest = cache ^ (1 << out)
-                    h2_out = outside + (live >> out & 1)
-                    for new in range(n):
-                        if cache >> new & 1:
-                            continue
-                        ncov = covered
-                        for wbit, ebit, _ in incident[new]:
-                            if rest & wbit:
-                                ncov |= ebit
-                        nkey = (rest | 1 << new, ncov)
-                        if ng >= table.get(nkey, _UNSEEN)[0]:
-                            continue
-                        table[nkey] = (ng, key)
-                        h1 = -(-(num_edges - ncov.bit_count()) // k)
-                        h2 = h2_out - (live >> new & 1)
-                        f = ng + (h1 if h1 > h2 else h2)
-                        if f > limit:
-                            if f < pruned:
-                                pruned = f
-                            continue
-                        # only new and its neighbours in rest gained edges
-                        nlive = live
-                        for wbit, _, w in incident[new]:
-                            if rest & wbit and not edges_at[w] & ~ncov:
-                                nlive &= ~wbit
-                        if not edges_at[new] & ~ncov:
-                            nlive &= ~(1 << new)
-                        heapq.heappush(heap, (ng + h1, ng, next(counter),
-                                              nkey, nlive))
-            limit = pruned
+            limit += 1
         raise _Exhausted("max_length")
     except _Exhausted as exc:
         edge_bound = bounds(g, k).edge_bound

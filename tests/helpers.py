@@ -651,8 +651,11 @@ def exact_fk_reference(g, k, mode=LINEAR, budget=None):
 def exact_ck_reference(g, k, budget=None):
     """Minimum reads (length + k) of a k-cover sequence, by A* search.
 
-    `exact.exact_ck` as it was before it ran on int bitmasks; the bitmask
-    search must return the same optimum and witness.
+    `exact.exact_ck` as it was before it ran on int bitmasks and by
+    iterative deepening; the index search must return the same optimum and
+    interval.  Its witness is the first cover the heap pops, which may
+    differ from the index search's first cover in (start set, out, new)
+    order; `exact_ck_first_cover_reference` pins that one.
 
     States are (current cache set, covered edges); the heuristic
     ceil(uncovered / k) is admissible since each swap creates at most k new
@@ -728,6 +731,63 @@ def exact_ck_reference(g, k, budget=None):
         edge_bound = bounds(g, k).edge_bound
         lo = math.ceil(edge_bound) if edge_bound is not None else k + 1
         return ExactResult(UNKNOWN, None, None, lo, None)
+
+
+def exact_ck_first_cover_reference(g, k, budget=None):
+    """The first k-cover of the fewest sets in (start set, out, new) order.
+
+    `exact.exact_ck`'s witness rule on labels: for L = 1, 2, ... a plain
+    depth-first search over (cache, covered) frozensets tries the start
+    sets in `combinations` order of the sorted labels, then at each node
+    swaps out each member and swaps in each non-member in sorted order,
+    and returns the first cover of at most L sets.  Its only pruning is a
+    memo of the (cache, covered) states that failed with at least as many
+    sets left; it has no h1 or h2 cut and no closed-form first L.
+    """
+    budget = budget or SearchBudget()
+    state = _SearchState(budget)
+    vertices = sorted(g.vertices)
+    all_edges = g.edge_set()
+    memo = {}
+
+    def dfs(cache, covered, left):
+        state.tick()
+        if len(covered) == len(all_edges):
+            return [cache]
+        key = (cache, covered)
+        if left == 0 or memo.get(key, -1) >= left:
+            return None
+        for out in sorted(cache):
+            rest = cache - {out}
+            for new in vertices:
+                if new in cache:
+                    continue
+                nxt = rest | {new}
+                found = dfs(nxt, covered | frozenset(
+                    e for e in all_edges if new in e and e <= nxt), left - 1)
+                if found:
+                    return [cache, *found]
+        memo[key] = left
+        return None
+
+    length = 1
+    try:
+        while length <= budget.max_length:
+            memo.clear()
+            for combo in itertools.combinations(vertices, k + 1):
+                cache = frozenset(combo)
+                found = dfs(cache, frozenset(e for e in all_edges
+                                             if e <= cache), length - 1)
+                if found:
+                    cov = CoverSequence(g, k, tuple(found))
+                    reads = require_valid(verify_cover(cov),
+                                          "first-cover witness").reads
+                    return ExactResult(OPTIMAL, reads, cov, reads, reads)
+            length += 1
+        raise _Exhausted("max_length")
+    except _Exhausted:
+        return ExactResult(UNKNOWN, None, None,
+                           min(length, budget.max_length + 1) + k, None)
 
 
 def check_cover_structure(cov):

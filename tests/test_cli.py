@@ -322,15 +322,14 @@ def test_exact_fk_unknown_exit(capsys, tmp_path):
 
 
 def test_exact_time_limit_budgets(capsys, monkeypatch, k4_file):
-    """exact fk has no node cap (its memo is capped), with or without
-    `--time-limit`; exact ck keeps it (its A* table grows with the nodes)."""
+    """exact fk and exact ck have no node cap (their memos are capped),
+    with or without `--time-limit`."""
     budgets = []
     for name in ("exact_fk", "exact_ck"):
         def capture(*args, real=getattr(exact, name), **kwargs):
             budgets.append(kwargs["budget"])
             return real(*args, **kwargs)
         monkeypatch.setattr(exact, name, capture)
-    default = exact.SearchBudget()
     code, out, _ = run(capsys, ["exact", "fk", "--k", "2", "--graph", k4_file,
                                 "--time-limit", "30"])
     assert code == 0 and "f_2 = 5" in out
@@ -339,14 +338,14 @@ def test_exact_time_limit_budgets(capsys, monkeypatch, k4_file):
     code, out, _ = run(capsys, ["exact", "ck", "--k", "2", "--graph", k4_file,
                                 "--time-limit", "30"])
     assert code == 0 and "c_2 = 5" in out
-    assert budgets[-1] == exact.SearchBudget(time_limit=30)
-    assert budgets[-1].node_limit == default.node_limit
-    # without the flag each gets the default time limit and the same caps
-    for kind, budget in (("fk", exact.SearchBudget(node_limit=sys.maxsize)),
-                         ("ck", default)):
+    assert budgets[-1] == exact.SearchBudget(time_limit=30,
+                                             node_limit=sys.maxsize)
+    # without the flag each gets the default time limit and no node cap
+    for kind in ("fk", "ck"):
         code, _, _ = run(capsys, ["exact", kind, "--k", "2",
                                   "--graph", k4_file])
-        assert code == 0 and budgets[-1] == budget
+        assert code == 0
+        assert budgets[-1] == exact.SearchBudget(node_limit=sys.maxsize)
 
 
 def test_maxcut_circulant(capsys):

@@ -7,7 +7,8 @@ import tracemalloc
 
 import pytest
 
-from helpers import (automorphism_orbits_reference, exact_ck_reference,
+from helpers import (automorphism_orbits_reference,
+                     exact_ck_first_cover_reference, exact_ck_reference,
                      exact_fk_reference, exact_maxcut_reference, random_graph)
 from radiuskit import exact
 from radiuskit.binseq import wk_exact
@@ -257,20 +258,31 @@ def test_k44_witness():
         "x1 y1 y2 x2 y3 y4 x3 y1 y2 x4 y3 y4 x1")
 
 
+def _interval(result):
+    return result.status, result.optimum, result.lower, result.upper
+
+
+def _assert_ck_matches_references(g, k, budget=None):
+    """The optimum of the A* label search and the witness of the plain
+    first-cover search, byte for byte; False if the A* run stops."""
+    expected = exact_ck_reference(g, k, budget)
+    if not expected.is_optimal:
+        return False
+    result = exact_ck(g, k)
+    assert _interval(result) == _interval(expected), (g.edges, k)
+    first = exact_ck_first_cover_reference(g, k)
+    assert result == first, (g.edges, k)
+    assert (serialize_cover_sequence(result.witness)
+            == serialize_cover_sequence(first.witness))
+    return True
+
+
 def test_exact_ck_matches_reference():
     compared = 0
     for g in _oracle_graphs(12, 20):
         for k in (1, 2, 3):
-            if g.num_vertices <= k + 1:
-                continue
-            expected = exact_ck_reference(g, k, ORACLE_BUDGET)
-            if not expected.is_optimal:
-                continue
-            result = exact_ck(g, k)
-            assert result == expected, (g.edges, k)
-            assert (serialize_cover_sequence(result.witness)
-                    == serialize_cover_sequence(expected.witness))
-            compared += 1
+            if g.num_vertices > k + 1:
+                compared += _assert_ck_matches_references(g, k, ORACLE_BUDGET)
     assert compared >= 20
 
 
@@ -298,16 +310,13 @@ def test_exact_ck_witness_ignores_input_order():
 
 @pytest.mark.parametrize("g,k", [(cycle(8), 3), (path(8), 2)])
 def test_exact_ck_benchmark_witnesses(g, k):
-    # beyond ORACLE_BUDGET: the reference runs with no node budget
-    expected = exact_ck_reference(g, k)
-    result = exact_ck(g, k)
-    assert expected.is_optimal and result == expected
-    assert (serialize_cover_sequence(result.witness)
-            == serialize_cover_sequence(expected.witness))
+    # beyond ORACLE_BUDGET: the A* reference runs with no node budget
+    assert _assert_ck_matches_references(g, k)
 
 
 def test_exact_ck_prunes_by_entry_count():
-    # ceil(uncovered / k) alone pops 45,546 states here
+    # cutting by ceil(uncovered / k) alone takes 19,972 nodes here, and
+    # with the entry count h2 too, 52
     result = exact_ck(cycle(10), 3, SearchBudget(node_limit=5000))
     assert result.is_optimal and result.optimum == 10
 
@@ -417,12 +426,15 @@ def test_orbit_search_counts_against_the_budget():
 
 @pytest.mark.parametrize("g,k", [(cycle(8), 3), (path(8), 2)])
 def test_exact_ck_unknown_interval(g, k):
+    # they solve in 27 and 16 nodes; stopped at 5, each still proves its
+    # first L, 8 - k sets, which is 8 reads
     optimum = exact_ck(g, k).optimum
-    for budget in (SearchBudget(node_limit=50), SearchBudget(max_length=2)):
+    for budget in (SearchBudget(node_limit=5), SearchBudget(max_length=2)):
         result = exact_ck(g, k, budget)
         edge_bound = exact_ck_reference(g, k, budget)
         assert not result.is_optimal and not edge_bound.is_optimal
         assert edge_bound.lower <= result.lower <= optimum
+    assert exact_ck(g, k, SearchBudget(node_limit=5)).lower == 8
     # only covers of at least 3 sets remain: 3 + k reads
     assert exact_ck(cycle(8), 3, SearchBudget(max_length=2)).lower == 6
 
@@ -454,11 +466,24 @@ def test_stop_reason_and_nodes():
 
 
 def test_exact_ck_start_sets_count_against_the_budget():
-    # C30 has 593,775 start sets at k = 5; the first time check stops the
-    # enumeration, which proves only the edge bound 30/5 + 6/2 = 9 reads
-    result = exact_ck(cycle(30), 5, SearchBudget(time_limit=1e-9))
+    # K_{5,5} at k = 2 has 120 start sets a length; the first time check
+    # stops the search after L = 12 sets is refuted, which proves 13 + 2
+    # reads, past the edge bound 25/2 + 3/2 = 14
+    result = exact_ck(complete_bipartite(5, 5), 2,
+                      SearchBudget(time_limit=1e-9))
     assert result.stop == "time limit" and result.nodes == 4096
-    assert (result.status, result.lower) == ("unknown", 9)
+    assert (result.status, result.lower) == ("unknown", 15)
+
+
+def test_exact_ck_c40_within_the_node_budget():
+    # C40 has 18.6 M start sets at k = 6; taken lazily, they cost no memory
+    # and the first L, 34 sets, is the optimum
+    tracemalloc.start()
+    result = exact_ck(cycle(40), 6, SearchBudget(node_limit=100_000))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert (result.status, result.optimum) == ("optimal", 40)
+    assert result.nodes < 10_000 and peak < 1 << 20
 
 
 def test_exact_fk_max_length_stop_skips_the_tables_budget():
