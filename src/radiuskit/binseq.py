@@ -33,7 +33,7 @@ _CROSS_CHECK_LIMIT = 1 << 16
 # ran slower.
 _WALK_BLOCK = 1 << 14
 # Work cap for the walk DP, in entries updated (see `_walk_work`).  Binary
-# k = 10 may run to s = 1927, which takes 2.3-2.5 s on a 2-core Xeon;
+# k = 10 may run to s = 1927, which takes 0.7-1.0 s on a 2-core Xeon;
 # binary k = 14 is out of reach.
 WALK_LIMIT = 1 << 29
 # Length cap for `construct_low_bad`: s = 2^23 takes about 3.3 s and 350 MB
@@ -190,7 +190,7 @@ def wk_brute(k, s, alphabet=2):
     symbols keeps the count.  Any non-constant cyclic string has adjacent
     symbols x_i != x_{i+1}; rotating i to the front and sending x_i, x_{i+1}
     to 0, 1 gives an enumerated string.  `wk_walk` starts its walks from
-    the same set.
+    fewer windows by the same invariance (see `_walk_starts`).
     """
     debruijn._check_alphabet(alphabet)
     if s < 1:
@@ -223,7 +223,14 @@ def _walk_work(k, s, t):
     """Entries the walk DP updates: s steps of each block of starts.
 
     A block counts as at least _WALK_BLOCK entries, because a step's fixed
-    cost dominates small blocks (binary k = 2 ran 7 us per step).
+    cost dominates small blocks (binary k = 2 ran 7 us per step).  The
+    starts are charged as t^(k-2) + 1, the windows 0^k and 0 1 ... that
+    the walk started from before `_walk_starts`.  Within the vertex budget
+    no (k, t) has more real starts than that (a test checks them all), so
+    this is an upper bound: 257 against 117 at binary k = 10.  Counting
+    the real starts would move the cap and with it `wk_exact`'s choice:
+    the walk would then apply at binary k = 14 for s <= 25, where 'auto'
+    would pick it over enumeration.
     """
     size = t ** k
     starts = t ** (k - 2) + 1 if k >= 2 else 1
@@ -246,20 +253,43 @@ def _walk_refusal(k, s, t):
             f"{WALK_LIMIT} cap")
 
 
+def _walk_starts(k, t):
+    """The canonical windows w with canon(w[j:]) >= w[:k-j] for 0 < j < k.
+
+    canon renames symbols in order of first appearance, so the canonical
+    windows are the quotient's codes (`debruijn._quotient_graph`).  The
+    first k - j symbols of a window's canonical form depend only on those
+    symbols up to renaming, so canon(w[j:]) is the code of v_j, w after j
+    steps along the quotient's symbol-0 successors, less its last j digits.
+    """
+    codes, succ = debruijn._quotient_graph(k, t)
+    chain = np.empty((k - 1, len(codes)), dtype=np.int64)
+    v = np.arange(len(codes))
+    for j in range(k - 1):
+        v = chain[j] = succ[0, v]
+    powers = t ** np.arange(1, k, dtype=np.int64)[:, None]
+    return codes[(codes[chain] // powers >= codes // powers).all(axis=0)]
+
+
 def wk_walk(k, s, alphabet=2):
     """w_k(s) as the minimum-weight closed walk of length s.
 
     Cyclic strings of length s >= k+1 correspond bijectively to closed
     s-walks in the de Bruijn graph, so minimizing walk weight minimizes the
-    bad-pair count.  The walks start only from the set S = {0^k} plus the
-    windows that begin with the symbols 0, 1 (codes t^(k-2) to
-    2*t^(k-2) - 1; for k = 1, S = {0}), which is exact: the doubled edge
-    weights count only digits equal to the dropped symbol, so permuting the
-    symbols keeps every closed walk's weight.  A constant cyclic string maps
-    to the loop at 0^k.  Any other one has cyclically adjacent symbols
-    x_i != x_{i+1}, and the permutation sending them to 0, 1 maps the
-    window at i into S.  Hence the minimum over S is the minimum over all
-    t^k starts, from t^(k-2) + 1 of them.
+    bad-pair count.  The walks start only from the windows of
+    `_walk_starts`: the canonical windows w, symbols renamed in order of
+    first appearance, with canon(w[j:]) >= w[:k-j] for every 0 < j < k
+    (117 of the 1,024 binary windows at k = 10; for k = 1 only 0).  This
+    is Fredricksen and Maiorana's reading of a necklace from its least
+    rotation (1978), with renamings counted as well as rotations, and it
+    is exact.  Rotating a cyclic string or renaming its symbols keeps its
+    bad-pair count, since the doubled edge weights count only digits
+    equal to the dropped symbol.  Take an optimal string and let x* be
+    the least of all its rotations and renamings, read as length-s words;
+    x* is optimal too, and its first window w is canonical.  Were canon(w[j:]) < w[:k-j] for some j, the
+    renamed rotation of x* by j would begin with canon(w[j:]) and so be
+    smaller than x*.  Hence w is a start, and the minimum over the starts
+    is the minimum over all t^k of them.
 
     The starts run in blocks of rows, one independent DP row per start,
     each block a (rows, t^k) int64 array of at most _WALK_BLOCK entries
@@ -273,10 +303,7 @@ def wk_walk(k, s, alphabet=2):
     size = t ** k
     weights = _truncated_weight_tables(k, s, t)
     idx = debruijn._pred_indices(k, t)
-    starts = np.zeros(1, dtype=np.int64)
-    if k >= 2:
-        low = t ** (k - 2)
-        starts = np.concatenate([starts, np.arange(low, 2 * low)])
+    starts = _walk_starts(k, t)
     rows = max(1, _WALK_BLOCK // size)
     best = debruijn._INF
     for lo in range(0, len(starts), rows):

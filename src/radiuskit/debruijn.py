@@ -252,15 +252,25 @@ def _quotient_graph(k, t):
     canonical form of codes[i] % t^(k-1) * t + c, the successor by symbol
     c.
 
-    The windows grow one symbol at a time, each new symbol at most one
-    above the largest so far, `top`.  With each window u = 0 s the loop
-    keeps the canonical form of s.  The symbols 1..top first appear in s
-    in that order, as in u, and a 0 in s first appears after 1..low for
-    some low (low = top before s holds a 0).  So s becomes canonical when
-    0 is renamed low, 1..low are renamed 0..low - 1 and the rest stay.
-    The successor s c is renamed the same way, except that a symbol c not
-    in s takes the next free name: top + 1 if s holds a 0, else top.
+    Binary has a closed form: the canonical windows are the codes below
+    2^(k-1), each its own index.  The successor x = 2i + c of window i
+    drops a leading 0, and x is canonical unless it starts with 1, when
+    complementing its k bits renames it.
+
+    For t >= 3 the windows grow one symbol at a time, each new symbol at
+    most one above the largest so far, `top`.  With each window u = 0 s
+    the loop keeps the canonical form of s.  The symbols 1..top first
+    appear in s in that order, as in u, and a 0 in s first appears after
+    1..low for some low (low = top before s holds a 0).  So s becomes
+    canonical when 0 is renamed low, 1..low are renamed 0..low - 1 and
+    the rest stay.  The successor s c is renamed the same way, except
+    that a symbol c not in s takes the next free name: top + 1 if s holds
+    a 0, else top.
     """
+    if t == 2:
+        codes = np.arange(1 << (k - 1), dtype=np.int64)
+        x = codes * 2 + np.arange(2)[:, None]
+        return codes, x ^ (x >> (k - 1)) * ((1 << k) - 1)
     # rows: code, the canonical code of s, top, low, whether s holds a 0
     state = np.zeros((5, 1), dtype=np.int64)
     for n in range(1, k):

@@ -268,6 +268,38 @@ def canonical_window_reference(code, k, t):
     return out
 
 
+def quotient_graph_reference(k, t):
+    """Test oracle: `debruijn._quotient_graph` as the level loop it runs
+    for t >= 3, here for every alphabet (binary has a closed form there).
+
+    The windows grow one symbol at a time, each new symbol at most one
+    above the largest so far, `top`.  With each window u = 0 s the loop
+    keeps the canonical form of s: 0 renamed low, 1..low renamed
+    0..low - 1, where a 0 first appears in s after 1..low.  The successor
+    s c is renamed the same way, a symbol c not in s taking the next free
+    name.
+    """
+    # rows: code, the canonical code of s, top, low, whether s holds a 0
+    state = np.zeros((5, 1), dtype=np.int64)
+    for n in range(1, k):
+        rows, d = np.nonzero(np.arange(min(t, n + 1)) <= state[2, :, None] + 1)
+        state = state[:, rows]
+        code, rest, top, low, zero = state
+        np.maximum(top, d, out=top)
+        np.copyto(low, top, where=zero == 0)
+        first = d == 0
+        zero |= first
+        state[:2] *= t
+        code += d
+        rest += np.where(first, low, d - (d <= low))
+    code, rest, top, low, zero = state
+    c = np.arange(t)[:, None]
+    name = np.where(c == 0, low, c - (c <= low))
+    np.minimum(name, top + zero, out=name)
+    name += rest * t
+    return code, np.searchsorted(code, name)
+
+
 def zk_loop_reference(k):
     """Test oracle: `debruijn.zk` as the loop over every run length
     ceil(k/2) <= t <= k + 1, ties to the smallest t."""
@@ -367,8 +399,9 @@ def wk_walk_all_starts(k, s, t=2):
     """Test oracle: w_k(s) as the closed-walk DP from every one of the t^k
     start vertices in turn, one rolling distance vector per start.
 
-    `binseq.wk_walk` as it was before it restricted the starts to the "01"
-    windows; the restricted search must return exactly what this returns.
+    `binseq.wk_walk` as it was before it restricted its starts (see
+    `binseq._walk_starts`); the restricted search must return exactly what
+    this returns.
     """
     size = t ** k
     weights = truncated_weight_tables_reference(k, s, t)

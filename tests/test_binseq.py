@@ -6,8 +6,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import (edge_word_weight, truncated_weight_tables_reference,
-                     wk_brute_reference, wk_walk_all_starts)
+from helpers import (canonical_window_reference, edge_word_weight,
+                     truncated_weight_tables_reference, wk_brute_reference,
+                     wk_walk_all_starts)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -224,28 +225,63 @@ def test_truncated_weight_tables_match_reference():
                     truncated_weight_tables_reference(k, s, t)), (k, s, t)
 
 
+def least_renamed_rotations(strings, t):
+    """Each row's least rotation-and-renaming, as a base-t code.
+
+    A rotation is renamed in order of first appearance: a symbol's new
+    name is the number of symbols that first appear before it.
+    """
+    n, s = strings.shape
+    powers = t ** np.arange(s - 1, -1, -1)
+    best = np.full(n, t ** s)
+    for i in range(s):
+        rotated = np.roll(strings, -i, axis=1)
+        hit = rotated[:, None, :] == np.arange(t)[:, None]
+        first = np.where(hit.any(axis=2), hit.argmax(axis=2), s)
+        names = (first[:, None, :] < first[:, :, None]).sum(axis=2)
+        renamed = np.take_along_axis(names, rotated, axis=1)
+        np.minimum(best, renamed @ powers, out=best)
+    return best
+
+
 def test_wk_walk_start_set_covers_every_string():
-    """Under some symbol permutation, every cyclic string of length s has a
-    k-window in {0^k} plus the windows beginning 0, 1."""
-    for t, max_k in ((2, 4), (3, 3)):
+    """Every cyclic string's least rotation-and-renaming begins with a
+    k-window in `_walk_starts`."""
+    for t, max_k in ((2, 6), (3, 4)):
+        for s in range(2, 10):
+            strings = np.array(list(itertools.product(range(t), repeat=s)))
+            least = least_renamed_rotations(strings, t)
+            for k in range(1, min(max_k, s - 1) + 1):
+                starts = binseq._walk_starts(k, t)
+                assert np.isin(least // t ** (s - k), starts).all(), (k, s, t)
+
+
+def test_walk_starts_match_renamed_suffixes():
+    """The start set against renaming each suffix w[j:] directly, and
+    never more starts than `_walk_work` charges, within the vertex budget."""
+    for t, max_k in ((2, 12), (3, 8), (4, 6), (5, 5)):
         for k in range(1, max_k + 1):
-            start_set = [(0,) * k]
-            if k >= 2:
-                start_set += [(0, 1) + rest for rest in
-                              itertools.product(range(t), repeat=k - 2)]
-            orbit = [sum(perm[x] * t ** (k - 1 - j)
-                         for j, x in enumerate(word))
-                     for perm in itertools.permutations(range(t))
-                     for word in start_set]
-            for s in range(k + 1, 10):
-                strings = np.array(list(itertools.product(range(t),
-                                                          repeat=s)))
-                covered = np.zeros(len(strings), dtype=bool)
-                for i in range(s):
-                    codes = sum(strings[:, (i + j) % s] * t ** (k - 1 - j)
-                                for j in range(k))
-                    covered |= np.isin(codes, orbit)
-                assert covered.all(), (k, s, t)
+            expected = [w for w in range(t ** k)
+                        if canonical_window_reference(w, k, t) == w
+                        and all(canonical_window_reference(
+                            w % t ** (k - j), k - j, t) >= w // t ** j
+                            for j in range(1, k))]
+            assert binseq._walk_starts(k, t).tolist() == expected, (k, t)
+    assert [len(binseq._walk_starts(k, 2)) for k in (6, 8, 10, 12)] == [
+        13, 38, 117, 380]
+    for t in range(2, debruijn.DEFAULT_MAX_VERTICES + 1):
+        for k in range(1, 15):
+            if t ** k > debruijn.DEFAULT_MAX_VERTICES:
+                break
+            charged = t ** (k - 2) + 1 if k >= 2 else 1
+            assert len(binseq._walk_starts(k, t)) <= charged, (k, t)
+
+
+def test_wk_walk_matches_brute_at_large_k():
+    """Binary k = 9-12, where the starts fill several blocks."""
+    for k in range(9, 13):
+        for s in range(k + 1, 19):
+            assert wk_walk(k, s) == wk_brute(k, s), (k, s)
 
 
 def test_wk_walk_pinned_values():

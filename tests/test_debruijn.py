@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from helpers import (canonical_window_reference, edge_word_weight,
                      extract_tight_cycle_reference, howard_full_reference,
-                     karp_min_cycle, zk_loop_reference)
+                     karp_min_cycle, quotient_graph_reference,
+                     zk_loop_reference)
 
 from radiuskit import debruijn
 from radiuskit.debruijn import (DeBruijnGraph, ak, check_certificate,
@@ -170,6 +171,20 @@ def test_quotient_successors_match_reference():
         expected = [[index[canonical_window_reference(u % shift * t + c, k, t)]
                      for u in canonical] for c in range(t)]
         assert succ.tolist() == expected, (k, t)
+
+
+def test_quotient_graph_matches_level_loop():
+    """The binary closed form, and the level loop for t >= 3, against the
+    level loop: binary k <= 14 and every t >= 3 with t^k <= 6561."""
+    cases = [(k, 2) for k in range(1, 15)] + [
+        (k, t) for k in range(1, 9) for t in range(3, 6562) if t ** k <= 6561]
+    for k, t in cases:
+        codes, succ = debruijn._quotient_graph(k, t)
+        ref_codes, ref_succ = quotient_graph_reference(k, t)
+        assert codes.dtype == ref_codes.dtype == np.int64, (k, t)
+        assert np.array_equal(codes, ref_codes), (k, t)
+        assert succ.dtype == ref_succ.dtype, (k, t)
+        assert np.array_equal(succ, ref_succ), (k, t)
 
 
 def test_tight_cycle_matches_dfs_reference():
