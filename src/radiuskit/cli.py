@@ -210,9 +210,7 @@ def _cmd_exact(args, out):
         out.emit({"op": f"exact-{args.kind}", "k": args.k,
                   "status": "unknown", "lower": result.lower,
                   "upper": result.upper},
-                 [f"{name}: unknown (proven >= {result.lower}"
-                  + (f", best found {result.upper}" if result.upper else "")
-                  + ")"])
+                 [f"{name}: unknown (proven >= {result.lower})"])
         return 3
     if args.kind == "fk":
         witness = " ".join(result.witness.items)

@@ -20,6 +20,7 @@ from .radius import (CYCLIC, LINEAR, CoverSequence, VertexSequence,
 
 OPTIMAL = "optimal"
 UNKNOWN = "unknown"
+MEMO_CAP = 1 << 18  # entries per search memo before it is cleared
 
 
 @dataclass(frozen=True)
@@ -57,10 +58,10 @@ class _Exhausted(Exception):
 
 
 class _SearchState:
-    """Shared node/time accounting for one solver run."""
+    """Shared node/time accounting and deepening loop for one solver run."""
 
-    def __init__(self, budget):
-        self.budget = budget
+    def __init__(self, budget=None):
+        self.budget = budget = budget or SearchBudget()
         self.nodes = 0
         self.start = time.monotonic()
         self.deadline = self.start + budget.time_limit
@@ -76,6 +77,23 @@ class _SearchState:
             raise _Exhausted("node limit")
         if self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
             raise _Exhausted("time limit")
+
+    def deepen(self, start, offset, attempt):
+        """Run attempt(L) for L = start, start + 1, ... to max_length.  The
+        first witness is optimal at L + offset; any stop, also a start past
+        max_length, is unknown with lower L + offset: all smaller L failed."""
+        length, stop = start, "max_length"
+        try:
+            while length <= self.budget.max_length:
+                witness = attempt(length)
+                if witness is not None:
+                    value = length + offset
+                    return self.result(OPTIMAL, value, witness, value, value)
+                length += 1
+        except _Exhausted as exc:
+            stop = exc.args[0]
+        return self.result(UNKNOWN, None, None, length + offset, None,
+                           stop=stop)
 
 
 def _automorphism_orbits(nbrs, state, fixed_bits):
@@ -243,7 +261,6 @@ def exact_fk(g, k, mode=LINEAR, budget=None):
         raise InvalidParameterError("need at least one edge")
     if mode not in (LINEAR, CYCLIC):
         raise InvalidParameterError(f"unknown mode {mode!r}")
-    budget = budget or SearchBudget()
     state = _SearchState(budget)
     report = bounds(g, k)
     cyclic = mode == CYCLIC
@@ -254,9 +271,8 @@ def exact_fk(g, k, mode=LINEAR, budget=None):
     lower = max(report.fk_lower, n, 1)
     if cyclic:
         lower = max(math.ceil(num_edges / k), report.fk_lower - k, n, 1)
-    if lower > budget.max_length:  # before the n x n table below
-        return state.result(UNKNOWN, None, None, lower, None,
-                            stop="max_length")
+    if lower > state.budget.max_length:  # stop before the n x n table below
+        return state.deepen(lower, 0, None)
     labels = [v for v, on in zip(g.vertices, active.tolist()) if on]
     vertices = range(n)
     pairbit = [[0] * n for _ in vertices]
@@ -273,7 +289,6 @@ def exact_fk(g, k, mode=LINEAR, budget=None):
     tick = state.tick
     memo = {}
     tries = {}  # distinct prefix vertices as bits -> the vertices to try
-    MEMO_CAP = 1 << 18
 
     def least_in_orbits(seen):
         """The least vertex of each orbit fixing the vertices in `seen`."""
@@ -304,8 +319,7 @@ def exact_fk(g, k, mode=LINEAR, budget=None):
         last = tuple(items[-k:])
         first = tuple(items[:k]) if cyclic else ()
         key = (last, first, mask)
-        known = memo.get(key)
-        if known is not None and known >= remaining:
+        if memo.get(key, -1) >= remaining:
             return None
         fresh = no_pairs  # fresh[v]: the pairs v would cover next
         for w in last:
@@ -331,21 +345,16 @@ def exact_fk(g, k, mode=LINEAR, budget=None):
         memo[key] = remaining
         return None
 
-    length = lower
-    try:
-        while length <= budget.max_length:
-            memo.clear()
-            witness = dfs([], 0, length, 0, (1 << n) - 1)
-            if witness:
-                seq = VertexSequence(
-                    g, tuple(labels[i] for i in witness), mode=mode)
-                require_valid(verify_radius(seq, k), "exact_fk witness")
-                return state.result(OPTIMAL, length, seq, length, length)
-            length += 1
-        raise _Exhausted("max_length")
-    except _Exhausted as exc:
-        return state.result(UNKNOWN, None, None, length, None,
-                            stop=exc.args[0])
+    def attempt(length):
+        memo.clear()
+        witness = dfs([], 0, length, 0, (1 << n) - 1)
+        if not witness:
+            return None
+        seq = VertexSequence(g, tuple(labels[i] for i in witness), mode=mode)
+        require_valid(verify_radius(seq, k), "exact_fk witness")
+        return seq
+
+    return state.deepen(lower, 0, attempt)
 
 
 def exact_ck(g, k, budget=None):
@@ -370,9 +379,9 @@ def exact_ck(g, k, budget=None):
     capped memo maps (cache, covered) to the most sets left with which it
     failed; a node's completions depend on its key and sets left alone.
     The cuts and the memo drop only nodes with no completion, so they keep
-    the first cover.  On a budget stop every cover has at least L sets
-    (each exhausted L refutes all covers of at most L sets), so the optimum
-    is at least min(L, max_length + 1) + k reads, and the edge bound.
+    the first cover.  Any stop, also at a first L past max_length, proves
+    every cover has at least L sets (each exhausted L refutes all covers
+    of at most L sets): L + k reads, never below the edge bound.
     """
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
@@ -381,8 +390,12 @@ def exact_ck(g, k, budget=None):
             f"need more than k+1 = {k + 1} vertices, got {g.num_vertices}")
     if g.num_edges < 1:
         raise InvalidParameterError("need at least one edge")
-    budget = budget or SearchBudget()
     state = _SearchState(budget)
+    num_edges = g.num_edges
+    start = 1 + max(0, -(-(num_edges - k * (k + 1) // 2) // k),
+                    int(np.count_nonzero(np.bincount(g.ends.ravel()))) - k - 1)
+    if start > state.budget.max_length:  # stop before the lists below
+        return state.deepen(start, k, None)
     labels = sorted(g.vertices)
     index = {v: i for i, v in enumerate(labels)}
     vertices = range(len(labels))
@@ -394,13 +407,11 @@ def exact_ck(g, k, budget=None):
     # a swap covers edges only at the entering vertex, so only it and its
     # neighbours can lose their last uncovered edge
     around = [[v, *(w for w, _ in incident[v])] for v in vertices]
-    num_edges = g.num_edges
     full_mask = (1 << num_edges) - 1
     active = sum(1 << v for v in vertices if edges_at[v])
 
     tick = state.tick
     memo = {}
-    MEMO_CAP = 1 << 18
 
     def dfs(cache, covered, live, left):
         """The caches of the first cover from this node within `left` more
@@ -433,33 +444,24 @@ def exact_ck(g, k, budget=None):
         memo[cache, covered] = left
         return None
 
-    limit = 1 + max(0, -(-(num_edges - k * (k + 1) // 2) // k),
-                    active.bit_count() - k - 1)
-    try:
-        while limit <= budget.max_length:
-            memo.clear()
-            for combo in itertools.combinations(vertices, k + 1):
-                cache = sum(1 << i for i in combo)
-                covered = sum(ebit for i in combo for w, ebit in incident[i]
-                              if w > i and cache >> w & 1)
-                live = active & ~sum(1 << i for i in combo
-                                     if not edges_at[i] & ~covered)
-                found = dfs(cache, covered, live, limit - 1)
-                if found:
-                    cov = CoverSequence(g, k, tuple(
-                        frozenset(labels[i] for i in vertices if c >> i & 1)
-                        for c in reversed(found)))
-                    check = require_valid(verify_cover(cov),
-                                          "exact_ck witness")
-                    return state.result(OPTIMAL, check.reads, cov,
-                                        check.reads, check.reads)
-            limit += 1
-        raise _Exhausted("max_length")
-    except _Exhausted as exc:
-        edge_bound = bounds(g, k).edge_bound
-        lo = math.ceil(edge_bound) if edge_bound is not None else k + 1
-        lo = max(lo, min(limit, budget.max_length + 1) + k)
-        return state.result(UNKNOWN, None, None, lo, None, stop=exc.args[0])
+    def attempt(limit):
+        memo.clear()
+        for combo in itertools.combinations(vertices, k + 1):
+            cache = sum(1 << i for i in combo)
+            covered = sum(ebit for i in combo for w, ebit in incident[i]
+                          if w > i and cache >> w & 1)
+            live = active & ~sum(1 << i for i in combo
+                                 if not edges_at[i] & ~covered)
+            found = dfs(cache, covered, live, limit - 1)
+            if found:
+                cov = CoverSequence(g, k, tuple(
+                    frozenset(labels[i] for i in vertices if c >> i & 1)
+                    for c in reversed(found)))
+                require_valid(verify_cover(cov), "exact_ck witness")
+                return cov
+        return None
+
+    return state.deepen(start, k, attempt)
 
 
 def exact_maxcut(g):

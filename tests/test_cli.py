@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import radiuskit
-from radiuskit import binseq, cli, debruijn, exact, radius
+from radiuskit import binseq, cli, debruijn, exact, hardness, radius
 from radiuskit.cli import main
 from radiuskit.errors import VerificationError
 from radiuskit.graphs import complete, complete_bipartite, parse_graph, \
@@ -398,6 +398,20 @@ def test_reduce_cover_witness(capsys, tmp_path):
     assert code == 0
     record = json.loads(out.strip())
     assert record["witness_length"] == 15 and record["losses"] == 1
+
+
+def test_reduce_meta_out(capsys, tmp_path):
+    graph_file = tmp_path / "p3.edges"
+    graph_file.write_text("v1 v2\nv2 v3\n")
+    meta_out = tmp_path / "p3.meta.json"
+    code, out, _ = run(capsys, ["reduce", "cover1-coverk", "--k", "2",
+                                "--graph", str(graph_file),
+                                "--meta-out", str(meta_out)])
+    assert code == 0
+    assert f"metadata written to {meta_out}" in out.splitlines()
+    inst = hardness.reduce_cover1_to_coverk(
+        parse_graph(graph_file.read_text()), 2)
+    assert meta_out.read_text() == hardness.serialize_metadata(inst)
 
 
 @pytest.mark.parametrize("text, message", [

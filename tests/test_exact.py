@@ -435,8 +435,9 @@ def test_exact_ck_unknown_interval(g, k):
         assert not result.is_optimal and not edge_bound.is_optimal
         assert edge_bound.lower <= result.lower <= optimum
     assert exact_ck(g, k, SearchBudget(node_limit=5)).lower == 8
-    # only covers of at least 3 sets remain: 3 + k reads
-    assert exact_ck(cycle(8), 3, SearchBudget(max_length=2)).lower == 6
+    # the first L, 1 + max(ceil((8 - 6) / 3), 8 - 3 - 1) = 5 sets, already
+    # exceeds max_length = 2; every cover has at least 5 sets: 5 + k reads
+    assert exact_ck(cycle(8), 3, SearchBudget(max_length=2)).lower == 8
 
 
 def test_elapsed_is_reported_and_not_compared():
@@ -497,3 +498,29 @@ def test_exact_fk_max_length_stop_skips_the_tables_budget():
     assert (result.status, result.lower, result.stop, result.nodes) == (
         "unknown", 3000, "max_length", 0)
     assert peak < 1 << 20
+
+
+def test_exact_ck_max_length_stop_skips_the_tables_budget():
+    # 3,000 vertices need 2,998 sets, past the default max_length of 64,
+    # so no incidence list is built; the stop proves 2,998 + k reads
+    g = cycle(3000)
+    tracemalloc.start()
+    result = exact_ck(g, 2)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert (result.status, result.lower, result.stop, result.nodes) == (
+        "unknown", 3000, "max_length", 0)
+    assert peak < 1 << 20
+
+
+def test_one_stop_rule_for_both_searches():
+    # a first L past max_length + 1: C_100 needs 98 sets, 100 reads
+    result = exact_ck(cycle(100), 2)
+    assert (result.status, result.lower, result.stop, result.nodes) == (
+        "unknown", 100, "max_length", 0)
+    assert type(result.lower) is int  # the CLI writes it as JSON
+    # searched, then exhausted: every length up to 12 is refuted
+    result = exact_fk(complete_bipartite(4, 4), 2,
+                      budget=SearchBudget(max_length=12))
+    assert (result.status, result.lower, result.stop, result.nodes) == (
+        "unknown", 13, "max_length", 2560)
