@@ -9,6 +9,7 @@ by a minimum-weight closed-walk dynamic program over the de Bruijn graph,
 and the two routes cross-check each other.
 """
 
+import functools
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -253,6 +254,11 @@ def _walk_refusal(k, s, t):
             f"{WALK_LIMIT} cap")
 
 
+# Cached, read-only: `wk_walk` asks for the same (k, t) on every call.  It
+# asks only within the vertex budget, where no (k, t) has more than
+# t^(k-2) + 1 <= 2^12 + 1 starts (see `_walk_work`), so an entry holds at
+# most 33 KB and the cache at most about 2 MB.
+@functools.lru_cache(maxsize=64)
 def _walk_starts(k, t):
     """The canonical windows w with canon(w[j:]) >= w[:k-j] for 0 < j < k.
 
@@ -268,7 +274,9 @@ def _walk_starts(k, t):
     for j in range(k - 1):
         v = chain[j] = succ[0, v]
     powers = t ** np.arange(1, k, dtype=np.int64)[:, None]
-    return codes[(codes[chain] // powers >= codes // powers).all(axis=0)]
+    starts = codes[(codes[chain] // powers >= codes // powers).all(axis=0)]
+    starts.setflags(write=False)
+    return starts
 
 
 def wk_walk(k, s, alphabet=2):

@@ -22,12 +22,14 @@ import numpy as np
 
 from .errors import BudgetError, InvalidParameterError, VerificationError
 
-# Default cap on the vertex count of the exact minimum-cycle search.  Howard
-# policy iteration takes about k rounds of O(E log V) vectorized work on the
-# symbol-permutation quotient (2^(k-1) vertices when binary), and the
-# witness and certificate run on all t^k: binary ak(k) takes about 0.05 s
-# at the cap (k = 14, 12 rounds) on a 2-core shared Xeon, and about 8 s at
-# 2^20 vertices when the cap is raised through `max_vertices`.
+# Default cap on the vertex count of the exact minimum-cycle search.  Every
+# search runs one shortest-walk DP over all t^k windows, for the witness
+# and the certificate.  A binary search whose alternating-run candidate
+# passes needs nothing else: binary ak(k) takes about 0.015 s at the cap
+# (k = 14) on a 2-core shared Xeon, and about 2 s at 2^20 vertices when
+# the cap is raised through `max_vertices`.  Other alphabets, and a binary
+# candidate that fails, first run Howard policy iteration: about k rounds
+# of O(E log V) vectorized work on the symbol-permutation quotient.
 DEFAULT_MAX_VERTICES = 1 << 14
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -153,16 +155,28 @@ def _pred_indices(k, t):
 def min_normalized_cycle(g, max_vertices=DEFAULT_MAX_VERTICES):
     """Exact minimum normalized cycle weight of g, with a certified witness.
 
-    Finds the minimum mu = p/q by Howard policy iteration in exact int64
-    arithmetic, on the graph's quotient by the symbol permutations, then
-    extracts a witness on the graph itself from potentials: reweight edges
-    by q*w - p, compute shortest walk distances, and take any cycle of
-    tight edges.  Every cycle found that way attains the minimum exactly.  Ties
-    between optimal cycles are broken by a fixed walk from vertex 0 that
-    appends the least symbol still leading to a tight cycle (see
-    `_extract_tight_cycle`); any minimum cycle is acceptable downstream.
-    Before returning, `check_certificate` re-checks mu from the distances
-    and the witness alone.
+    Finds the minimum mu = p/q, then extracts a witness on the graph itself
+    from potentials: reweight edges by q*w - p, compute shortest walk
+    distances from vertex 0, and take any cycle of tight edges.  Every
+    cycle found that way attains the minimum exactly.  Ties between optimal
+    cycles are broken by a fixed walk from vertex 0 that appends the least
+    symbol still leading to a tight cycle (see `_extract_tight_cycle`); any
+    minimum cycle is acceptable downstream.  Before returning,
+    `check_certificate` re-checks mu from the distances and the witness
+    alone.
+
+    A binary graph first tries the candidate mu = `_run_cycle_mean(k)`,
+    the mean of the cycle 0^r 1^r (r = zk(k).t), hence at least the
+    minimum.  Its distance DP runs for at most `_candidate_rounds(k)`
+    rounds; a fixpoint proves that no cycle is lighter (Cherkassky &
+    Goldberg 1999), so mu is the minimum, and the extraction goes on from
+    exactly the distances Howard's value would give.  If the cap is hit,
+    or the fixpoint leaves no tight cycle, the search falls back to what
+    other alphabets run: Howard policy iteration in exact int64 arithmetic
+    on the quotient by the symbol permutations (`_howard_min_mean`), then
+    the uncapped extraction.  Any cap is sound: a fixpoint proves the
+    candidate whenever it is reached, so the cap only sets what a fallback
+    costs.
 
     Raises BudgetError when the vertex count exceeds `max_vertices` or the
     potentials could outgrow their int64 headroom, and VerificationError if
@@ -178,15 +192,24 @@ def min_normalized_cycle(g, max_vertices=DEFAULT_MAX_VERTICES):
     # Howard's scaled potentials stay within 2*k*V^2 in magnitude and the
     # tight-cycle distances within k*V^2; both must stay below the walk
     # sentinel _INF = 2^50, which leaves 2^13 of headroom below int64.
+    # (A capped candidate run moves no distance by more than its rounds
+    # times q*k, with q <= 2k + 2.)
     if 2 * k * size * size >= _INF:
         raise BudgetError(
             f"minimum-cycle potentials for {size} vertices at k = {k} "
             f"would exceed the int64 headroom")
 
     cnt = _digit_counts(k, t)
-    minimum = _howard_min_mean(k, t, cnt)
     idx = _pred_indices(k, t)
-    cycle_codes, potentials = _extract_tight_cycle(k, t, cnt, idx, minimum)
+    found = None
+    if t == 2:
+        minimum = _run_cycle_mean(k)
+        found = _extract_tight_cycle(k, t, cnt, idx, minimum,
+                                     _candidate_rounds(k))
+    if found is None:
+        minimum = _howard_min_mean(k, t, cnt)
+        found = _extract_tight_cycle(k, t, cnt, idx, minimum)
+    cycle_codes, potentials = found
     shift = t ** (k - 1)
     symbols = _least_rotation(tuple(int(v // shift) for v in cycle_codes))
     length = len(cycle_codes)
@@ -196,6 +219,23 @@ def min_normalized_cycle(g, max_vertices=DEFAULT_MAX_VERTICES):
     return OptimalCycle(k=k, alphabet=t, symbols=symbols, length=length,
                         total_weight=int(minimum * length),
                         normalized=minimum, potentials=potentials)
+
+
+def _run_cycle_mean(k):
+    """Weight per edge of the binary cycle 0^r 1^r, r = zk(k).t, counted on
+    the word itself rather than taken from `zk`'s formula."""
+    r = zk(k).t
+    word = (0,) * r + (1,) * r
+    total = sum(word[(i + j) % (2 * r)] == word[i]
+                for i in range(2 * r) for j in range(1, k + 1))
+    return Fraction(total, 2 * r)
+
+
+def _candidate_rounds(k):
+    """Round cap of the binary candidate's distance DP.  Its fixpoint took
+    at most 2.83k rounds at every binary k = 1..20 (10 at k = 4, 37 at
+    k = 14, 52 at k = 20)."""
+    return 4 * k
 
 
 def _howard_min_mean(k, t, cnt):
@@ -451,14 +491,17 @@ def check_certificate(k, alphabet, normalized, potentials, symbols):
             f"witness weighs {total}/{n} per edge, not {mu}")
 
 
-def _extract_tight_cycle(k, t, cnt, idx, mu):
+def _extract_tight_cycle(k, t, cnt, idx, mu, max_rounds=None):
     """Find a simple cycle all of whose edges are tight for cycle mean mu.
 
     With w'(e) = q*w(e) - p every cycle has nonnegative w'-weight and the
     optimal ones weigh exactly 0, so after computing shortest-walk distances
     from vertex 0 the zero-reduced-weight (tight) subgraph contains exactly
     the optimal cycles.  Returns the cycle's vertex codes and the distances,
-    which serve as potentials.
+    which serve as potentials.  The distances take at most V + 1 rounds of
+    relaxation, or `max_rounds` when given; with it, a DP still short of
+    its fixpoint, or a fixpoint with no tight cycle (mu below the minimum),
+    returns None instead of raising.
 
     The cycle is the one a depth-first search from vertex 0 closes when it
     tries successors in symbol order, computed without the search.  Peeling
@@ -478,12 +521,14 @@ def _extract_tight_cycle(k, t, cnt, idx, mu):
 
     dist = np.full(size, _INF, dtype=np.int64)
     dist[0] = 0
-    for _ in range(size + 1):
+    for _ in range(size + 1 if max_rounds is None else max_rounds):
         new = np.minimum(dist, _dp_step(dist, idx, wadj))
         if np.array_equal(new, dist):
             break
         dist = new
     else:
+        if max_rounds is not None:
+            return None
         raise VerificationError("negative cycle in reweighted graph")
 
     # The relaxation's terms dist[u] + w'(u -> v), in place, indexed by
@@ -501,6 +546,8 @@ def _extract_tight_cycle(k, t, cnt, idx, mu):
             break
         alive = kept
     if not alive[0]:
+        if max_rounds is not None:
+            return None
         raise VerificationError("tight subgraph must contain a cycle")
 
     walk, pos = [], {}

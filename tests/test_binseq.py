@@ -256,6 +256,13 @@ def test_wk_walk_start_set_covers_every_string():
                 assert np.isin(least // t ** (s - k), starts).all(), (k, s, t)
 
 
+def test_walk_starts_cached_read_only():
+    first = binseq._walk_starts(8, 2)
+    assert binseq._walk_starts(8, 2) is first
+    assert not first.flags.writeable
+    assert binseq._walk_starts.cache_info().maxsize is not None
+
+
 def test_walk_starts_match_renamed_suffixes():
     """The start set against renaming each suffix w[j:] directly, and
     never more starts than `_walk_work` charges, within the vertex budget."""

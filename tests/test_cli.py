@@ -231,10 +231,15 @@ def test_ak_outputs_pinned(capsys, command):
 
 
 def test_verification_failure_exit(capsys, monkeypatch):
+    # both routes to the minimum go wrong: the binary run-cycle candidate,
+    # and Howard, which a wrong candidate falls back to
     true_mean = debruijn._howard_min_mean
+    true_candidate = debruijn._run_cycle_mean
     for shift in (Fraction(-1, 2), Fraction(1, 2)):
         monkeypatch.setattr(debruijn, "_howard_min_mean",
                             lambda k, t, cnt: true_mean(k, t, cnt) + shift)
+        monkeypatch.setattr(debruijn, "_run_cycle_mean",
+                            lambda k: true_candidate(k) + shift)
         code, out, err = run(capsys, ["ak", "--k", "5"])
         assert code == 4 and out == ""
         assert err.startswith("internal error: result failed verification")

@@ -205,6 +205,77 @@ def test_tight_cycle_matches_dfs_reference():
         assert np.array_equal(dist, ref_dist), (k, t)
 
 
+def howard_route(k, t=2):
+    """Value, witness symbols and potentials as Howard's route finds them."""
+    cnt = debruijn._digit_counts(k, t)
+    idx = debruijn._pred_indices(k, t)
+    mu = debruijn._howard_min_mean(k, t, cnt)
+    codes, dist = debruijn._extract_tight_cycle(k, t, cnt, idx, mu)
+    symbols = debruijn._least_rotation(
+        tuple(int(v // t ** (k - 1)) for v in codes))
+    return mu, symbols, dist
+
+
+def test_run_cycle_shortcut_matches_howard_route():
+    for k in range(1, 15):
+        cycle = min_normalized_cycle(DeBruijnGraph(k))
+        mu, symbols, dist = howard_route(k)
+        assert (cycle.normalized, cycle.symbols) == (mu, symbols), k
+        assert np.array_equal(cycle.potentials, dist), k
+
+
+def test_run_cycle_mean_matches_zk():
+    for k in range(1, 61):
+        assert debruijn._run_cycle_mean(k) == zk(k).value, k
+
+
+def test_binary_search_runs_no_howard(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("Howard ran")
+
+    monkeypatch.setattr(debruijn, "_howard_min_mean", unreachable)
+    for k in range(1, 15):
+        assert ak(k) == zk(k).value, k
+    with pytest.raises(AssertionError, match="Howard ran"):
+        ak(3, alphabet=3)
+
+
+@pytest.mark.parametrize("k", [1, 4, 9, 12])
+@pytest.mark.parametrize("offset", [Fraction(1, 7), Fraction(-1, 7)])
+def test_wrong_candidate_falls_back_to_howard(monkeypatch, k, offset):
+    """A candidate above the minimum hits the round cap, and one below it
+    reaches a fixpoint with no tight cycle; both return Howard's result."""
+    mu, symbols, dist = howard_route(k)
+    cnt = debruijn._digit_counts(k, 2)
+    idx = debruijn._pred_indices(k, 2)
+    steps = []
+    true_step = debruijn._dp_step
+
+    def counted_step(*args):
+        steps.append(1)
+        return true_step(*args)
+
+    monkeypatch.setattr(debruijn, "_dp_step", counted_step)
+    debruijn._extract_tight_cycle(k, 2, cnt, idx, mu)
+    fixpoint_rounds = len(steps)
+    cap = debruijn._candidate_rounds(k)
+    assert fixpoint_rounds <= cap
+
+    steps.clear()
+    wrong = debruijn._run_cycle_mean(k) + offset
+    assert debruijn._extract_tight_cycle(k, 2, cnt, idx, wrong, cap) is None
+    assert len(steps) <= cap
+    if offset > 0:  # a negative cycle: the DP runs to its cap
+        assert len(steps) == cap
+
+    steps.clear()
+    monkeypatch.setattr(debruijn, "_run_cycle_mean", lambda k: wrong)
+    cycle = min_normalized_cycle(DeBruijnGraph(k))
+    assert (cycle.normalized, cycle.symbols) == (mu, symbols)
+    assert np.array_equal(cycle.potentials, dist)
+    assert len(steps) <= cap + fixpoint_rounds
+
+
 def test_least_rotation():
     assert debruijn._least_rotation((1, 0, 1, 0, 0)) == (0, 0, 1, 0, 1)
     assert debruijn._least_rotation((1, 1)) == (1, 1)
