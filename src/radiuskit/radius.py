@@ -296,11 +296,12 @@ def _check_pair_budget(m, n):
 
 
 # Cap on the estimated bytes of `cover_strategy_bipartite`, checked after
-# the pair cap and before anything is built, near the 1,574 MB README times
-# for `construct bipartite` at m = n = 5000.  A set takes about 256 B per
-# member (label frozensets) and 16 B per member pair (the pair code that
-# verify_cover builds and sorts): (k + 1)(256 + 8k) B, against 544 B
-# measured at k = 1, 1,553 at k = 4 and 3,910 at k = 16.
+# the pair cap and before anything is built, of the order of the largest
+# run README times (`construct bipartite` at m = n = 5000, 1,019 MB).  A
+# set takes about 256 B per member (label frozensets) and 16 B per member
+# pair (the pair code that verify_cover builds and sorts):
+# (k + 1)(256 + 8k) B, against 544 B measured at k = 1, 1,553 at k = 4
+# and 3,910 at k = 16.
 MAX_COVER_BYTES = 1_600_000_000
 
 
@@ -333,10 +334,6 @@ def construct_bipartite(m, n, k, epsilon_hint=0.5, seed=0):
 
     # a_k first: its vertex cap refuses a large k before K_{m,n} is built
     opt = debruijn.min_normalized_cycle(debruijn.DeBruijnGraph(k))
-    # the int8 slot scores below lie in [-(k + 1), k], the least after the
-    # used-in-block offset; a_k's vertex cap keeps k far below this today
-    if 2 * k + 1 > np.iinfo(np.int8).max:
-        raise BudgetError(f"k = {k} overflows the int8 slot scores")
     g = complete_bipartite(m, n)
     a = opt.normalized
     lower = Fraction(m * n) / (k - a)
@@ -355,80 +352,79 @@ def construct_bipartite(m, n, k, epsilon_hint=0.5, seed=0):
         block = (opt.symbols[phase:] + opt.symbols[:phase]) * q
 
     # Vertices are indices x_i -> i-1, y_j -> m+j-1 (g.vertices order); side
-    # 0 is X, side 1 is Y.  rows[0][i, j] = rows[1][j, i] = 1 while pair
-    # x_{i+1} y_{j+1} is open.  score[s][i] counts the distinct window
-    # vertices open with vertex i of side s: entering or leaving the window
-    # adds or subtracts a row, and covering a pair by appending v
-    # decrements v's score alone: v is not in the window then, for had it
-    # been, v and its partner sat within k slots of each other and the pair
-    # closed when the later of them was appended.  Memoryviews reach single
-    # entries faster than numpy scalars, and refuse values outside int8.
-    rows = (np.ones((m, n), dtype=np.int8), np.ones((n, m), dtype=np.int8))
-    score = [np.zeros(m, dtype=np.int8), np.zeros(n, dtype=np.int8)]
-    open_ = tuple(map(memoryview, rows))
-    score_at = tuple(map(memoryview, score))
+    # 0 is X, side 1 is Y.  open_[v] is an int bitmask whose bit j is set
+    # while v and vertex j of the other side (counted from offset) form an
+    # open pair; covering a pair clears its bit in both masks.
     offset = (0, m)
-    in_window = [0] * (m + n)  # occurrences of each vertex in the window
+    open_ = [(1 << n) - 1] * m + [(1 << m) - 1] * n
     remaining = m * n
     items = array("q")  # 8 bytes a slot, against 36 in a list of ints
 
     def append(v):
         """Append a vertex, marking pairs formed within the last k slots."""
         nonlocal remaining
-        s = int(v >= m)
-        i = v - offset[s]
+        s = v >= m
+        other = offset[not s]
+        bit = 1 << (v - offset[s])
+        row = open_[v]
         for w in items[-k:]:
-            if (w >= m) == s:
-                continue
-            j = w - offset[1 - s]
-            if open_[s][i, j]:
-                open_[s][i, j] = open_[1 - s][j, i] = 0
-                remaining -= 1
-                score_at[s][i] -= 1
+            if (w >= m) != s:
+                b = 1 << (w - other)
+                if row & b:
+                    row ^= b
+                    open_[w] ^= bit
+                    remaining -= 1
+        open_[v] = row
         items.append(v)
-        in_window[v] += 1
-        if in_window[v] == 1:
-            score[1 - s] += rows[s][i]
-        if len(items) > k:
-            u = items[-k - 1]
-            in_window[u] -= 1
-            if not in_window[u]:
-                t = int(u >= m)
-                score[1 - t] -= rows[t][u - offset[t]]
 
     blocks_used = 0
     if block is not None:
-        used = k + 1  # offset marking a vertex used in this block
         while remaining > 0:
             before = remaining
-            chosen = []
+            unused = [(1 << m) - 1, (1 << n) - 1]
             for sym in block:
-                # the lowest unused index among the best: used ones score
-                # below 0, and at most m 0s and n 1s leave an unused one
-                best = int(score[sym].argmax())
-                score_at[sym][best] -= used
-                chosen.append((sym, best))
-                append(best + offset[sym])
-            for sym, best in chosen:
-                score_at[sym][best] += used
+                # Bit-sliced counters (Knuth, TAOCP 4A, 7.1.3): bit i of
+                # planes[p] is bit p of the number of distinct window
+                # vertices open with vertex i of side sym.  Going down the
+                # planes keeps the unused vertices of the highest count, and
+                # the lowest of them wins; at most m 0s and n 1s per block
+                # leave one unused.
+                planes = []
+                for w in {w for w in items[-k:] if (w >= m) != sym}:
+                    carry = open_[w]
+                    p = 0
+                    for plane in planes:
+                        planes[p] = plane ^ carry
+                        carry &= plane
+                        p += 1
+                    if carry:
+                        planes.append(carry)
+                best = unused[sym]
+                while planes:
+                    plane = best & planes.pop()
+                    if plane:
+                        best = plane
+                best &= -best
+                unused[sym] ^= best
+                append(best.bit_length() - 1 + offset[sym])
             blocks_used += 1
             # stop once a block stops beating the sweep's 1 pair per 2 slots
             if (before - remaining) * 2 < len(block):
                 break
 
-    open_x, open_y = np.nonzero(rows[0])
-    for i, j in zip(open_x.tolist(), open_y.tolist()):
-        if not open_[0][i, j]:
-            continue
-        x, y = i, m + j
-        window = items[-k:]
-        if x in window:
-            append(y)
-        elif y in window:
-            append(x)
-        else:
-            append(x)
-            append(y)
+    # the open pairs in row-major order: a row's lowest open bit is always
+    # the next, as covering a pair never opens one
+    for x in range(m):
+        while row := open_[x]:
+            y = m + (row & -row).bit_length() - 1
+            window = items[-k:]
+            if x in window:
+                append(y)
+            elif y in window:
+                append(x)
+            else:
+                append(x)
+                append(y)
 
     seq = VertexSequence(g, tuple(map(g.vertices.__getitem__, items)),
                          mode=LINEAR)

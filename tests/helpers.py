@@ -163,6 +163,21 @@ def random_valid_cover(g, k, rng):
     return CoverSequence(g, k, tuple(sets))
 
 
+def digit_counts_reference(k, t, multiplicity=None):
+    """Test oracle for `debruijn._digit_counts`: entry [b][v] sums
+    multiplicity[pos] over the digits of v, read one at a time from the
+    least significant (position k - 1), that equal b."""
+    if multiplicity is None:
+        multiplicity = [1] * k
+    cnt = [[0] * t ** k for _ in range(t)]
+    for v in range(t ** k):
+        x = v
+        for pos in reversed(range(k)):
+            cnt[x % t][v] += multiplicity[pos]
+            x //= t
+    return np.array(cnt, dtype=np.int64)
+
+
 def edge_word_weight(word):
     """De Bruijn edge weight: occurrences of the first symbol in the rest."""
     return word[1:].count(word[0])

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import (canonical_window_reference, edge_word_weight,
-                     extract_tight_cycle_reference, howard_full_reference,
-                     karp_min_cycle, quotient_graph_reference,
-                     zk_loop_reference)
+from helpers import (canonical_window_reference, digit_counts_reference,
+                     edge_word_weight, extract_tight_cycle_reference,
+                     howard_full_reference, karp_min_cycle,
+                     quotient_graph_reference, zk_loop_reference)
 
 from radiuskit import debruijn
 from radiuskit.debruijn import (DeBruijnGraph, ak, check_certificate,
@@ -317,6 +317,46 @@ def test_certificate_rejects_tampering():
         check_certificate(k, 2, mu, pi[:-1], symbols)
     with pytest.raises(VerificationError):
         check_certificate(k, 2, mu, pi, symbols[:-1] + (2,))
+
+
+def test_digit_counts_match_digit_by_digit_reference():
+    for t in range(2, 7):
+        for k in range(1, 13):
+            if t ** k > 4096:
+                break
+            # uneven weights with zeros, as the walk's truncated tables use
+            multiplicity = [(3 * pos + 1) % 4 for pos in range(k)]
+            for mult in (None, multiplicity):
+                assert np.array_equal(debruijn._digit_counts(k, t, mult),
+                                      digit_counts_reference(k, t, mult)), \
+                    (k, t, mult)
+
+
+def test_tampered_weight_table_never_yields_a_wrong_value(monkeypatch):
+    # the certificate recounts every edge weight from the vertex codes, so
+    # a fault in the search's table ends in the true value or an error; at
+    # k = 4, raising [0, 7] alone lifts the least mean the search finds to
+    # 3/2, with a witness that avoids the edge
+    original = debruijn._digit_counts
+    outcomes = {"true": 0, "refused": 0}
+    cases = [(3, 2), (4, 2), (2, 3)]
+    truths = [ak(k, t) for k, t in cases]
+    for (k, t), truth in zip(cases, truths):
+        for b in range(t):
+            for v in range(t ** k):
+                for delta in (-1, 1):
+                    def tampered(*args, b=b, v=v, delta=delta):
+                        cnt = original(*args)
+                        cnt[b, v] += delta
+                        return cnt
+
+                    monkeypatch.setattr(debruijn, "_digit_counts", tampered)
+                    try:
+                        assert ak(k, t) == truth, (k, t, b, v, delta)
+                        outcomes["true"] += 1
+                    except VerificationError:
+                        outcomes["refused"] += 1
+    assert min(outcomes.values()) > 0, outcomes
 
 
 def test_potential_headroom_guard():

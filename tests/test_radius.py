@@ -341,6 +341,10 @@ CONSTRUCT_PINS = [
      "79e25149be900b632bb290a07ae8d8b6ad6bca2d778f4b54dfb5ba305bb0766d"),
     (100, 90, 4, 0.5, 7, 149,
      "66f07a07b02d566cf38f9f3ab180195d9022f23e99a155d769f245ac607b35a0"),
+    # the benchmark's largest job: length 15,871, recorded from the int8
+    # slot-score greedy the bitmask one replaced
+    (200, 200, 4, 0.5, 0, 640,
+     "f348dbc5180620e7488d2c5677285f245dc10789e8f0b8f33b2f09c85390ec0f"),
 ]
 
 
@@ -353,8 +357,8 @@ def test_construct_bipartite_pinned_outputs():
 
 
 def test_construct_bipartite_matches_reference():
-    # the slot scores kept up to date choose what summing the window's rows
-    # chose: the pins plus 240 seeded shapes, a third of them lopsided
+    # the bitmask greedy chooses what summing the window's rows chose: the
+    # pins plus 240 seeded shapes, a third of them lopsided
     rng = random.Random(14)
     cases = [pin[:5] for pin in CONSTRUCT_PINS]
     for i in range(240):
@@ -364,6 +368,15 @@ def test_construct_bipartite_matches_reference():
         cases.append((m, n, rng.randint(1, 7),
                       rng.choice((0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 3.0)),
                       rng.randrange(10)))
+    # and masks of m or n bits either side of a 30-bit int digit and of 64
+    # and 128 bits, each side in turn, with k up to 10
+    edges = (29, 30, 31, 59, 60, 61, 63, 64, 65, 127, 128, 129)
+    for b in edges:
+        for m, n, k in [(b, rng.randint(1, 40), rng.randint(1, 10)),
+                        (rng.randint(1, 40), b, rng.randint(1, 10)),
+                        (b, rng.choice(edges), rng.randint(2, 10))]:
+            cases.append((m, n, k, rng.choice((0.1, 0.5, 1.0, 2.0)),
+                          rng.randrange(10)))
     with_blocks = 0
     for m, n, k, eps, seed in cases:
         result = construct_bipartite(m, n, k, epsilon_hint=eps, seed=seed)
@@ -386,10 +399,6 @@ def test_construct_bipartite_refuses_before_building(monkeypatch):
     monkeypatch.setattr(radius, "complete_bipartite", unreachable)
     with pytest.raises(BudgetError, match="over the budget of 16384"):
         construct_bipartite(700, 700, 15)
-    # past the int8 slot scores, with a stand-in a_k that never binds
-    monkeypatch.setattr(debruijn, "min_normalized_cycle", lambda g: None)
-    with pytest.raises(BudgetError, match="k = 64 overflows"):
-        construct_bipartite(3, 3, 64)
 
 
 def test_construct_bipartite_degenerate_and_seeded():
